@@ -75,10 +75,14 @@ def catalan_formulas(n: int) -> dict[str, Fraction]:
 
 @lru_cache(maxsize=None)
 def catalan(n: int) -> int:
-    """Catalan number C_n, with all four formulas asserted equal first."""
+    """Catalan number C_n, after checking that all four formulas agree.
+
+    Raises ArithmeticError if they do not.
+    """
     forms = catalan_formulas(n)
     values = set(forms.values())
-    assert len(values) == 1, f"catalan formulas disagree at n={n}: {forms}"
+    if len(values) != 1:
+        raise ArithmeticError(f"catalan formulas disagree at n={n}: {forms}")
     return int(values.pop())
 
 

@@ -5,6 +5,10 @@ Coefficients are either all Fraction (exact mode) or all float; the
 algorithms are identical, only the scalar type differs. Reciprocal and
 square root are computed by Newton iteration, which doubles the number
 of correct coefficients each step.
+
+Products share one convolution loop. In exact mode it runs on integers:
+each operand's numerators are put over one common denominator (the lcm
+of its denominators), and each output coefficient is reduced once.
 """
 
 from __future__ import annotations
@@ -49,13 +53,30 @@ class PowerSeries:
         return self.coeffs[n]
 
 
-def _mul(a: tuple, b: tuple, order: int) -> tuple:
-    out = [a[0] * 0] * order
+def _convolve(a, b, order: int, zero) -> list:
+    out = [zero] * order
     for i, x in enumerate(a[:order]):
         if x:
             for j, y in enumerate(b[: order - i]):
                 out[i + j] += x * y
-    return tuple(out)
+    return out
+
+
+def _over_common_denominator(c: tuple) -> tuple[list, int]:
+    """Integer numerators of rational coefficients over the lcm of their denominators."""
+    den = math.lcm(*(x.denominator for x in c))
+    return [x.numerator * (den // x.denominator) for x in c], den
+
+
+def _mul(a: tuple, b: tuple, order: int) -> tuple:
+    if isinstance(a[0], Fraction) and isinstance(b[0], Fraction):
+        # Exact: convolve integer numerators, so each output coefficient
+        # costs one gcd instead of one per product and per sum.
+        a_num, a_den = _over_common_denominator(a[:order])
+        b_num, b_den = _over_common_denominator(b[:order])
+        den = a_den * b_den
+        return tuple(Fraction(v, den) for v in _convolve(a_num, b_num, order, 0))
+    return tuple(_convolve(a, b, order, a[0] * 0))
 
 
 def _add(a: tuple, b: tuple) -> tuple:

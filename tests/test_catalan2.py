@@ -174,6 +174,23 @@ def test_exact_reps_agree_everywhere(a, b, n):
         assert c2_jacobi(a, b, n) == sum_v
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (0, 4), (1, 4), (2, 4), (3, 4),
+        (0, Fraction(9, 4)), (Fraction(1, 3), Fraction(9, 4)),
+        (Fraction(3, 2), Fraction(9, 4)), (Fraction(7, 3), Fraction(9, 4)),
+    ],
+)
+def test_exact_gf_coefficient_at_n_40(a, b):
+    # a = 0, a < sqrt(b), a = sqrt(b) and a > sqrt(b) at the largest n the
+    # c2 benchmark draws; the gf route must agree exactly with the sums
+    want = c2_double_factorial_sum(a, b, 40)
+    assert isinstance(want, Fraction)
+    assert c2_gf_coefficient(a, b, 40) == want
+    assert c2_hyp_closed(a, b, 40) == want
+
+
 @given(
     st.floats(min_value=0.2, max_value=4.0, allow_nan=False),
     st.floats(min_value=0.3, max_value=5.0, allow_nan=False),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import catalankit.exact
 from catalankit.exact import (
     Polynomial,
     RationalFunction,
@@ -52,6 +53,17 @@ def test_catalan_formulas_are_exact_rationals():
     # the Gamma-ratio route in particular must not fall back to floats
     for v in catalan_formulas(40).values():
         assert isinstance(v, Fraction)
+
+
+def test_catalan_raises_when_formulas_disagree(monkeypatch):
+    # a checked error, not an assert, so it survives python -O
+    def disagreeing(n):
+        return {"factorial_quotient": Fraction(42), "central_binomial": Fraction(43)}
+
+    catalan.cache_clear()
+    monkeypatch.setattr(catalankit.exact, "catalan_formulas", disagreeing)
+    with pytest.raises(ArithmeticError, match="disagree at n=5"):
+        catalan(5)
 
 
 def test_catalan_rejects_negative():

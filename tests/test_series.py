@@ -1,9 +1,12 @@
 """Formal power series: Catalan generating functions by Newton iteration."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalankit.exact import catalan
 from catalankit.series import PowerSeries, gf_catalan, gf_catalan2, series_mul
@@ -64,3 +67,50 @@ def test_power_series_accessors():
     assert s.coefficient(1) == 2
     with pytest.raises(IndexError):
         s.coefficient(5)
+
+
+def plain_product(s, t, order):
+    """Schoolbook truncated convolution, the reference for series_mul."""
+    out = [s[0] * 0] * order
+    for i in range(order):
+        if s[i]:
+            for j in range(order - i):
+                out[i + j] += s[i] * t[j]
+    return out
+
+
+# Exact series: a Fraction constant term (which makes the series exact),
+# then any mix of ints and Fractions, zero and negative included.
+_scalar = st.one_of(
+    st.integers(min_value=-30, max_value=30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=60),
+)
+exact_series = st.builds(
+    lambda c0, rest: PowerSeries((Fraction(c0),) + tuple(rest)),
+    _scalar,
+    st.lists(_scalar, max_size=14),
+)
+
+
+@given(exact_series, exact_series)
+@settings(max_examples=150, deadline=None)
+def test_exact_mul_matches_fraction_convolution(s, t):
+    order = min(s.order, t.order)
+    want = plain_product(
+        [Fraction(x) for x in s.coeffs], [Fraction(x) for x in t.coeffs], order
+    )
+    got = series_mul(s, t)
+    assert got.order == order
+    assert list(got.coeffs) == want
+    assert all(type(x) is Fraction for x in got.coeffs)
+
+
+@pytest.mark.parametrize("len_s, len_t", [(1, 1), (9, 5), (6, 12), (41, 41)])
+def test_float_mul_bit_identical_to_plain_loop(len_s, len_t):
+    rng = random.Random(len_s * 100 + len_t)
+    s = tuple(rng.uniform(-3.0, 3.0) for _ in range(len_s))
+    t = tuple(rng.choice((0.0, rng.uniform(-1e3, 1e3))) for _ in range(len_t))
+    order = min(len_s, len_t)
+    got = series_mul(PowerSeries(s), PowerSeries(t))
+    want = plain_product(s, t, order)
+    assert [x.hex() for x in got.coeffs] == [x.hex() for x in want]
