@@ -58,13 +58,18 @@ def catalan_formulas(n: int) -> dict[str, Fraction]:
     gamma_form = 4**n * gamma_half_ratio / factorial(n + 1)
     # 2F1(-n, 1-n; 2; 1): term k reduces to C(n,k) C(n-1,k) / (k+1),
     # terminating at k = n - 1 for n >= 1 (the k = n term carries a zero
-    # Pochhammer factor); the empty product at n = 0 is 1.
+    # Pochhammer factor); the empty product at n = 0 is 1. The terms are
+    # summed as integer numerators over lcm(1..n), with running binomials.
     if n == 0:
         hyp_form = Fraction(1)
     else:
-        hyp_form = sum(
-            Fraction(comb(n, k) * comb(n - 1, k), k + 1) for k in range(n)
-        )
+        den = math.lcm(*range(1, n + 1))
+        total, c_n, c_n1 = 0, 1, 1  # C(n,k), C(n-1,k)
+        for k in range(n):
+            total += c_n * c_n1 * (den // (k + 1))
+            c_n = c_n * (n - k) // (k + 1)
+            c_n1 = c_n1 * (n - 1 - k) // (k + 1)
+        hyp_form = Fraction(total, den)
     return {
         "factorial_quotient": quotient,
         "central_binomial": central,

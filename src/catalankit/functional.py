@@ -29,7 +29,7 @@ from math import comb, factorial
 
 from .catalan2 import c2_hyp_closed
 from .exact import exact_pow, rising_factorial
-from .qfunc import q_series_with_terms, q_stirling, series_tail_bound
+from .qfunc import _pochhammer_series, q_series_with_terms, q_stirling
 from .quad import HalflineIntegrand, QuadResult, integrate_halfline
 
 __all__ = [
@@ -65,6 +65,15 @@ def _b_to_p(b, p):
     if power is not None:
         return power, True
     return float(b) ** float(p), False
+
+
+def _series_ratio(a, b, p) -> Fraction:
+    """y = b^p/a for the single series: exact when b^p and a are rational,
+    else the float quotient taken as a Fraction."""
+    power, power_exact = _b_to_p(b, p)
+    if power_exact and _exact_scalars(a):
+        return Fraction(power) / Fraction(a)
+    return Fraction(float(power) / float(a))
 
 
 def cf_quadrature(a, b, p, n: int, tol: float = 1e-10) -> QuadResult:
@@ -139,19 +148,6 @@ class SeriesEvaluation:
     terms: int
 
 
-def _descending_sum(
-    n: int, x: Fraction, p: Fraction, tol: float, max_terms: int
-) -> tuple[Fraction, int]:
-    """sum_{k>=1} (pk)_n (-x)^k exactly, stopped by the shared tail bound."""
-    reltol = Fraction(tol if tol > 0 else 1e-15)
-    total = Fraction(0)
-    for k in range(1, max_terms + 1):
-        total += rising_factorial(p * k, n) * (-x) ** k
-        if total and series_tail_bound(n, x, p, k + 1) <= reltol * abs(total):
-            return total, k
-    raise RuntimeError(f"descending series: not converged after {max_terms} terms")
-
-
 def cf_series_detailed(
     a, b, p, n: int, tol: float = 1e-15, max_terms: int = 100_000
 ) -> SeriesEvaluation:
@@ -169,11 +165,7 @@ def cf_series_detailed(
     _check_domain(a, b, p, n)
     if not a > 0:
         raise ValueError("cf_series needs a > 0 (the prefactor divides by a)")
-    power, power_exact = _b_to_p(b, p)
-    if power_exact and _exact_scalars(a):
-        y = Fraction(power) / Fraction(a)
-    else:
-        y = Fraction(float(power) / float(a))
+    y = _series_ratio(a, b, p)
     if y == 1:
         raise ValueError("cf_series: b^p = a is the series boundary; use cf_via_q")
     pf = Fraction(p)
@@ -181,7 +173,7 @@ def cf_series_detailed(
     if y < 1:
         total, terms = q_series_with_terms(n, y, pf, tol=tol, max_terms=max_terms)
         return SeriesEvaluation(total / scale, "ascending", float(y), terms)
-    total, terms = _descending_sum(n, 1 / y, pf, tol, max_terms)
+    total, terms = _pochhammer_series(n, 1 / y, pf, tol, max_terms, descending=True)
     return SeriesEvaluation(-float(total) / scale, "descending", float(y), terms)
 
 
@@ -202,11 +194,7 @@ def cf_series_as_printed(
     _check_domain(a, b, p, n)
     if not a > 0:
         raise ValueError("cf_series_as_printed needs a > 0")
-    power, power_exact = _b_to_p(b, p)
-    if power_exact and _exact_scalars(a):
-        y = Fraction(power) / Fraction(a)
-    else:
-        y = Fraction(float(power) / float(a))
+    y = _series_ratio(a, b, p)
     if y == 1:
         raise ValueError("cf_series_as_printed: b^p = a diverges")
     pf = Fraction(p)
@@ -214,7 +202,7 @@ def cf_series_as_printed(
     if y < 1:
         total, _ = q_series_with_terms(n, y, pf, tol=tol, max_terms=max_terms)
         return total / scale
-    total, _ = _descending_sum(n, 1 / y, pf, tol, max_terms)
+    total, _ = _pochhammer_series(n, 1 / y, pf, tol, max_terms, descending=True)
     if n == 0:
         total += 1  # the printed k = 0 term, (p*0)_0 = 1
     return -float(total) / scale

@@ -20,8 +20,10 @@ the z = y+1 bracket polynomials).
 
 Exact summation: the series terms grow to ~1e7 before decaying (e.g.
 y = 0.9, n = 6) while the sum stays O(1), so float accumulation loses
-about seven digits to cancellation. All summation here runs in Fraction
-arithmetic (every float is a dyadic rational) and rounds once at the end.
+about seven digits to cancellation. Every float is a dyadic rational, so
+with p = u/v and y = c/d in lowest terms each term and each partial sum
+is kept as an integer numerator over v^n d^k: still exact, without a gcd
+per term, and rounded once at the end.
 """
 
 from __future__ import annotations
@@ -85,6 +87,8 @@ def series_tail_bound(n: int, y: Fraction, p: Fraction, start: int) -> Fraction:
     bound covers |(pk)_n| (every factor is at most pk+n there too), so
     the descending-branch series shares it.
     """
+    if not 0 <= y < 1:
+        raise ValueError(f"series_tail_bound needs 0 <= y < 1, got {y!r}")
     if y == 0:
         return Fraction(0)
     total = Fraction(0)
@@ -96,6 +100,49 @@ def series_tail_bound(n: int, y: Fraction, p: Fraction, start: int) -> Fraction:
         k += 1
     ratio = y * Fraction(k + 1, k) ** n
     return total + (p * k + n) ** n * y**k / (1 - ratio)
+
+
+def _pochhammer_series(
+    n: int, y: Fraction, p: Fraction, tol: float, max_terms: int, descending: bool
+) -> tuple[Fraction, int]:
+    """(total, terms_used) for one branch of the single series, 0 < y < 1:
+
+    ascending   sum_{k>=0} (-pk)_n (-y)^k   (the defining series of Q)
+    descending  sum_{k>=1}  (pk)_n (-y)^k
+
+    Stops at the first nonzero partial sum whose series_tail_bound is at
+    most tol * |partial sum|; the bound covers both branches. With p = u/v
+    and y = c/d in lowest terms, term k is prod_{j<n} (j v - u k) (-c)^k
+    over v^n d^k (j v + u k when descending), so the partial sum is an
+    integer T over v^n d^k and the stopping test cross-multiplies
+    integers. The total is exact.
+    """
+    reltol = Fraction(tol if tol > 0 else 1e-15)
+    u, v, c, d = p.numerator, p.denominator, y.numerator, y.denominator
+    if not descending:
+        u = -u
+    start = 1 if descending else 0
+    vn = v**n
+    tol_den = reltol.denominator * vn
+    power, den_power = (-c) ** start, d**start  # (-c)^k, d^k
+    total = 0  # T
+    for k in range(start, start + max_terms):
+        uk = u * k
+        term = power
+        for j in range(n):
+            term *= j * v + uk
+        total = total * d + term
+        if total:
+            bound = series_tail_bound(n, y, p, k + 1)
+            if (
+                bound.numerator * tol_den * den_power
+                <= reltol.numerator * abs(total) * bound.denominator
+            ):
+                return Fraction(total, vn * den_power), k - start + 1
+        power *= -c
+        den_power *= d
+    name = "descending series" if descending else "q_series"
+    raise RuntimeError(f"{name}: not converged after {max_terms} terms")
 
 
 def q_series_with_terms(
@@ -114,13 +161,8 @@ def q_series_with_terms(
     yf, pf = Fraction(y), Fraction(p)
     if yf == 0:
         return (1.0 if n == 0 else 0.0), 1
-    reltol = Fraction(tol if tol > 0 else 1e-15)
-    total = Fraction(0)
-    for k in range(max_terms):
-        total += rising_factorial(-pf * k, n) * (-yf) ** k
-        if total and series_tail_bound(n, yf, pf, k + 1) <= reltol * abs(total):
-            return float(total), k + 1
-    raise RuntimeError(f"q_series: not converged after {max_terms} terms")
+    total, terms = _pochhammer_series(n, yf, pf, tol, max_terms, descending=False)
+    return float(total), terms
 
 
 def q_series(n: int, y, p, tol: float = 1e-15, max_terms: int = 100_000) -> float:

@@ -78,6 +78,16 @@ def test_series_descending_branch():
     assert ev.value == pytest.approx(float(Fraction(1, 36)), rel=1e-13)
 
 
+def test_series_max_terms_exhausted():
+    for series in (cf_series_detailed, cf_series_as_printed):
+        # descending branch: y = b^p/a = 10/9
+        with pytest.raises(RuntimeError, match="descending series: not converged after 2"):
+            series(Fraction(9, 10), 1, HALF, 6, max_terms=2)
+        # ascending branch (q_series_with_terms): y = 9/10
+        with pytest.raises(RuntimeError, match="q_series: not converged after 2 terms"):
+            series(Fraction(10, 9), Fraction(81, 100), HALF, 6, max_terms=2)
+
+
 def test_series_boundary_rejected():
     with pytest.raises(ValueError, match="cf_via_q"):
         cf_series(2, 4, HALF, 1)

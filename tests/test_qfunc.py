@@ -6,12 +6,14 @@ carries the degree repair -14z -> -14z^2 (see the errata command).
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalankit.exact import Polynomial, RationalFunction, rising_factorial
+from catalankit.functional import cf_series_detailed
 from catalankit.qfunc import (
     boyadzhiev_check,
     pochhammer_derivative_check,
@@ -176,6 +178,57 @@ def test_series_domain():
         q_series(2, Fraction(-1, 10), Fraction(1, 2))
     with pytest.raises(ValueError):
         q_series(2, Fraction(1, 2), Fraction(3, 2))
+
+
+def test_tail_bound_domain():
+    # y = 1 used to loop forever, y < 0 returned a negative "bound"
+    with pytest.raises(ValueError, match="0 <= y < 1"):
+        series_tail_bound(0, Fraction(1), Fraction(1, 2), 1)
+    with pytest.raises(ValueError, match="0 <= y < 1"):
+        series_tail_bound(2, Fraction(-1, 2), Fraction(1, 2), 1)
+    assert series_tail_bound(2, Fraction(0), Fraction(1, 2), 1) == 0
+
+
+def _plain_fraction_series(n, y, p, tol, descending):
+    """The series summed term by term in Fraction arithmetic, stopped by
+    the shared tail bound: sum_{k>=0} (-pk)_n (-y)^k, or
+    sum_{k>=1} (pk)_n (-y)^k on the descending branch."""
+    reltol = Fraction(tol if tol > 0 else 1e-15)
+    total = Fraction(0)
+    k = 1 if descending else 0
+    while True:
+        total += rising_factorial((p if descending else -p) * k, n) * (-y) ** k
+        if total and series_tail_bound(n, y, p, k + 1) <= reltol * abs(total):
+            return total, k if descending else k + 1
+        k += 1
+
+
+_SERIES_Y = st.one_of(
+    st.fractions(min_value=Fraction(1, 12), max_value=Fraction(9, 10), max_denominator=12),
+    st.floats(min_value=0.01, max_value=0.9),  # 53-bit dyadic rationals
+)
+_SERIES_P = st.integers(min_value=2, max_value=12).flatmap(
+    lambda v: st.integers(min_value=1, max_value=v - 1).map(lambda u: Fraction(u, v))
+)
+_SERIES_TOL = st.sampled_from([1e-8, 1e-12, 1e-15, 0])
+
+
+@given(st.integers(min_value=0, max_value=12), _SERIES_Y, _SERIES_P, _SERIES_TOL)
+@settings(max_examples=40, deadline=None)
+def test_ascending_series_matches_plain_fraction_sum(n, y, p, tol):
+    total, terms = _plain_fraction_series(n, Fraction(y), p, tol, descending=False)
+    assert q_series_with_terms(n, y, p, tol=tol) == (float(total), terms)
+
+
+@given(st.integers(min_value=0, max_value=12), _SERIES_Y, _SERIES_P, _SERIES_TOL)
+@settings(max_examples=40, deadline=None)
+def test_descending_series_matches_plain_fraction_sum(n, x, p, tol):
+    # b = 1 makes y = b^p/a = 1/a exactly, so the descending ratio is x = a
+    a = Fraction(x)
+    total, terms = _plain_fraction_series(n, a, p, tol, descending=True)
+    ev = cf_series_detailed(a, 1, p, n, tol=tol)
+    assert ev.branch == "descending"
+    assert (ev.value, ev.terms) == (-float(total) / (float(a) * factorial(n)), terms)
 
 
 def test_stirling_domain():
