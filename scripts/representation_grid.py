@@ -1,10 +1,12 @@
 """Sweep a parameter grid and report worst disagreement per representation pair.
 
-Every in-domain representation is evaluated at each (a, b, n) grid point
-and compared pairwise. The summary table shows, for each pair of
-representations, the worst relative difference seen anywhere on the grid
-and the point that produced it. Exit status is 1 if any pair exceeds the
-threshold.
+Every in-domain c2 representation of the command line table
+(`catalankit.cli.C2_REPS`, generating-function scale) is evaluated at
+each (a, b, n) grid point and compared pairwise; a representation that
+raises ValueError there is out of its domain and left out. The summary
+table shows, for each pair of representations, the worst relative
+difference seen anywhere on the grid and the point that produced it.
+Exit status is 1 if any pair exceeds the threshold.
 
 Usage:
     python scripts/representation_grid.py
@@ -12,20 +14,11 @@ Usage:
 """
 
 import argparse
-import sys
 from fractions import Fraction
 from itertools import combinations, product
 
-from catalankit import (
-    c2_double_factorial_sum,
-    c2_gf_coefficient,
-    c2_hyp_closed,
-    c2_hyp_unbounded,
-    c2_jacobi,
-    c2_legendre,
-    c2_quadrature,
-    LegendreVariant,
-)
+from catalankit import Normalization
+from catalankit.cli import C2_REPS, ON_REQUEST
 
 
 def parse_numbers(text):
@@ -34,18 +27,16 @@ def parse_numbers(text):
 
 def evaluate_point(a, b, n, quad_tol):
     """All representations defined at (a, b, n), as floats keyed by name."""
-    values = {
-        "double_factorial": float(c2_double_factorial_sum(a, b, n)),
-        "hyp_closed": float(c2_hyp_closed(a, b, n)),
-        "gf_coefficient": float(c2_gf_coefficient(a, b, n)),
-        "quadrature": c2_quadrature(float(a), float(b), n, tol=quad_tol).value,
-    }
-    if n >= 1:
-        values["jacobi"] = float(c2_jacobi(a, b, n))
-    if a > 0 and abs(1 - b / a**2) < 1:
-        values["hyp_unbounded"] = c2_hyp_unbounded(float(a), float(b), n)
-    if n >= 1 and 0 < a and a * a < b:
-        values["legendre_sec2"] = c2_legendre(a, b, n, LegendreVariant.SEC2)
+    x = argparse.Namespace(
+        a=a, b=b, n=n, norm=Normalization.GENERATING_FUNCTION, quad_tol=quad_tol)
+    values = {}
+    for rep, build in C2_REPS.items():
+        if rep in ON_REQUEST:
+            continue
+        try:
+            values[rep] = float(build(x)["value"])
+        except ValueError:
+            continue
     return values
 
 

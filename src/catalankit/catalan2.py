@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .exact import catalan, double_factorial, exact_sqrt
+from .exact import _is_exact, catalan, double_factorial, exact_sqrt
 from .hyper import assoc_legendre_p, gauss_2f1, jacobi_p
 from .quad import HalflineIntegrand, QuadResult, integrate_halfline
 from .series import gf_catalan2
@@ -67,10 +67,6 @@ def _check_domain(a, b, n: int) -> None:
         raise ValueError(f"b must be > 0, got {b!r}")
 
 
-def _exact_scalars(*xs) -> bool:
-    return all(isinstance(x, (int, Fraction)) for x in xs)
-
-
 def _sqrt_b(b):
     """(sqrt(b), is_exact); Fraction root when one exists, else float."""
     root = exact_sqrt(Fraction(b))
@@ -107,7 +103,7 @@ def c2_double_factorial_sum(a, b, n: int):
             weight *= factorial(k) * double_factorial(2 * (n - k) - 1)
             total += weight / base ** (k + 1)
     value = total / scale
-    return value if root_exact and _exact_scalars(a, b) else float(value)
+    return value if root_exact and _is_exact(a, b) else float(value)
 
 
 def c2_quadrature(a, b, n: int, tol: float = 1e-10) -> QuadResult:
@@ -141,16 +137,11 @@ def c2_hyp_closed(a, b, n: int, norm: Normalization = Normalization.GENERATING_F
     """
     _check_domain(a, b, n)
     root, root_exact = _sqrt_b(b)
-    if root_exact:
-        aa = Fraction(a)
-        z = (root - aa) / (2 * root)
-        pref = catalan(n) / ((2 * root) ** n * (aa + root) ** (n + 1))
-    else:
-        aa = float(a)
-        z = (root - aa) / (2 * root)
-        pref = catalan(n) / ((2 * root) ** n * (aa + root) ** (n + 1))
+    aa = Fraction(a) if root_exact else float(a)
+    z = (root - aa) / (2 * root)
+    pref = catalan(n) / ((2 * root) ** n * (aa + root) ** (n + 1))
     value = pref * gauss_2f1(1 - n, n, n + 2, z) * _norm_factor(norm)
-    exact = root_exact and _exact_scalars(a, b) and norm is Normalization.GENERATING_FUNCTION
+    exact = root_exact and _is_exact(a, b) and norm is Normalization.GENERATING_FUNCTION
     return value if exact else float(value)
 
 
@@ -187,7 +178,7 @@ def c2_jacobi(a, b, n: int, norm: Normalization = Normalization.GENERATING_FUNCT
     aa = Fraction(a) if root_exact else float(a)
     pref = 1 / (n * (2 * root) ** n * (aa + root) ** (n + 1))
     value = pref * jacobi_p(n - 1, n + 1, -n - 1, aa / root) * _norm_factor(norm)
-    exact = root_exact and _exact_scalars(a, b) and norm is Normalization.GENERATING_FUNCTION
+    exact = root_exact and _is_exact(a, b) and norm is Normalization.GENERATING_FUNCTION
     return value if exact else float(value)
 
 
@@ -239,7 +230,7 @@ def c2_gf_coefficient(a, b, n: int):
     """
     _check_domain(a, b, n)
     value = gf_catalan2(a, b, n + 1).coefficient(n)
-    return value if _exact_scalars(a, b) and isinstance(value, Fraction) else float(value)
+    return value if _is_exact(a, b) and isinstance(value, Fraction) else float(value)
 
 
 # Published value table for n = 0..5: numerator terms (coeff, a_power,

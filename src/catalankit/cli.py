@@ -10,6 +10,11 @@ independent representations and compares them pairwise:
   errata      measured discrepancies in the published closed forms
   selftest    internal consistency suites against independent oracles
 
+c2, functional and q run `cmd_compare` over one ordered table per
+quantity (`C2_REPS`, `FUNCTIONAL_REPS`, `Q_REPS`). A representation is
+added by one table entry; the `--rep` choices, the `--rep all` order and
+scripts/representation_grid.py follow from the tables.
+
 Exit status: 0 when everything requested agreed within tolerance, 1 on
 a tolerance or consistency failure, 2 on invalid input. Output is byte
 deterministic for identical invocations.
@@ -20,10 +25,12 @@ from __future__ import annotations
 import argparse
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
 from . import exact
+from .exact import _is_exact
 from .catalan2 import (
     LegendreVariant,
     Normalization,
@@ -67,14 +74,24 @@ from .quad import (
 )
 from .reporting import CompareReport, RepRow, format_float, format_scalar, render_report
 
-__all__ = ["main"]
+__all__ = ["main", "C2_REPS", "FUNCTIONAL_REPS", "Q_REPS", "ON_REQUEST"]
 
 _SELFTEST_SEED = 20260816
+
+
+# Largest |decimal exponent| of a number argument: floats span about
+# 1e-324 to 1e308, so past it every float route overflows or underflows,
+# and Fraction's cost grows with the exponent (1e10000000 takes seconds).
+_MAX_EXPONENT = 400
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def _parse_number(text: str):
     """Accept 3, -1/4, 0.37, 2e-2; decimals become exact rationals."""
     try:
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+            raise argparse.ArgumentTypeError(f"|exponent| > {_MAX_EXPONENT}: {text!r}")
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
@@ -115,10 +132,6 @@ def _quad_tol(compare_tol: float) -> float:
     return min(1e-10, max(1e-14, compare_tol / 100.0))
 
 
-def _is_exact(value) -> bool:
-    return isinstance(value, (int, Fraction))
-
-
 # ---------------------------------------------------------------- catalan
 
 
@@ -141,207 +154,131 @@ def cmd_catalan(args) -> int:
     return 0 if agreed else 1
 
 
-# --------------------------------------------------------------------- c2
+# -------------------------------------------------------- representations
 
-_C2_ALL = (
-    "double_factorial",
-    "hyp_closed",
-    "jacobi",
-    "quadrature",
-    "gf_coefficient",
-    "hyp_unbounded",
-    "legendre_sec2",
+# One ordered table per quantity, representation name -> row builder, in
+# `--rep all` order. A builder maps the parsed inputs plus `norm` and
+# `quad_tol` to the RepRow fields after the name. It names its route in
+# its body, so the route is looked up in this module at call time.
+
+
+def _exact(value) -> dict:
+    return dict(value=value, exact=_is_exact(value))
+
+
+def _quad(result) -> dict:
+    return dict(value=result.value, err=result.abs_err_est, terms=result.evaluations)
+
+
+def _closed(x, value, exact: bool = False) -> dict:
+    """A c2 closed form: reported but not compared at the printed scale."""
+    printed = x.norm is Normalization.PRINTED_PI
+    note = "printed normalization (x pi)" if printed else ""
+    return dict(value=value, exact=exact and _is_exact(value), note=note,
+                compare=not printed)
+
+
+def _series(ev) -> dict:
+    note = f"{ev.branch} branch, y = {format_float(ev.ratio)}"
+    return dict(value=ev.value, terms=ev.terms, note=note)
+
+
+C2_REPS = {
+    "double_factorial": lambda x: _exact(c2_double_factorial_sum(x.a, x.b, x.n)),
+    "hyp_closed": lambda x: _closed(x, c2_hyp_closed(x.a, x.b, x.n, x.norm), True),
+    "jacobi": lambda x: _closed(x, c2_jacobi(x.a, x.b, x.n, x.norm), True),
+    "quadrature": lambda x: _quad(c2_quadrature(x.a, x.b, x.n, tol=x.quad_tol)),
+    "gf_coefficient": lambda x: _exact(c2_gf_coefficient(x.a, x.b, x.n)),
+    "hyp_unbounded": lambda x: _closed(x, c2_hyp_unbounded(x.a, x.b, x.n, x.norm)),
+    "legendre_sec2": lambda x: _closed(
+        x, c2_legendre(x.a, x.b, x.n, LegendreVariant.SEC2, x.norm)
+    ),
+    "legendre_eq0b": lambda x: dict(
+        value=c2_legendre(x.a, x.b, x.n, LegendreVariant.EQ0B, x.norm),
+        note="printed prefactor variant, known inconsistent; see the errata command",
+        compare=False,
+    ),
+}
+
+FUNCTIONAL_REPS = {
+    "double_sum": lambda x: _exact(cf_double_sum(x.a, x.b, x.p, x.n)),
+    "series": lambda x: _series(cf_series_detailed(x.a, x.b, x.p, x.n)),
+    "quadrature": lambda x: _quad(cf_quadrature(x.a, x.b, x.p, x.n, tol=x.quad_tol)),
+    "via_q": lambda x: _exact(cf_via_q(x.a, x.b, x.p, x.n)),
+}
+
+
+def _q_series(x) -> dict:
+    value, terms = q_series_with_terms(x.n, x.y, x.p)
+    return dict(value=value, terms=terms)
+
+
+Q_REPS = {
+    "series": _q_series,
+    "stirling": lambda x: _exact(q_stirling(x.n, x.y, x.p)),
+    "polylog": lambda x: _exact(q_polylog(x.n, x.y, x.p)),
+    "recurrence": lambda x: _exact(q_recurrence_value(x.n, x.y, x.p)),
+    "hyp": lambda x: dict(
+        value=q_hyp(x.n, x.y, x.p),
+        note="printed form, excluded from comparison; see the errata command",
+        compare=False,
+    ),
+}
+
+# Accepted by --rep, left out of `all`.
+ON_REQUEST = frozenset({"legendre_eq0b"})
+
+# Per command: the inputs echoed, in order, and its representation table.
+_QUANTITIES = {
+    "c2": (("a", "b", "n", "rep", "normalization", "tol"), C2_REPS),
+    "functional": (("a", "b", "p", "n", "rep", "tol"), FUNCTIONAL_REPS),
+    "q": (("n", "y", "p", "rep", "tol"), Q_REPS),
+}
+
+# Input domains shared by every quantity that takes the input.
+_GUARDS = {
+    "a": (lambda v: v >= 0, "a must be >= 0"),
+    "b": (lambda v: v > 0, "b must be > 0"),
+    "p": (lambda v: 0 < v < 1, "p must lie in (0, 1)"),
+}
+
+_PAPER_NOTE = (
+    "printed normalization multiplies the closed forms by pi; "
+    "sum, quadrature and coefficient rows stay on the "
+    "generating-function scale and are compared alone"
 )
-_C2_REPS = _C2_ALL + ("legendre_eq0b",)
-_C2_PI_SCALED = {"hyp_closed", "jacobi", "hyp_unbounded", "legendre_sec2"}
 
 
-def _c2_row(rep: str, a, b, n: int, norm: Normalization, quad_tol: float) -> RepRow:
-    pi_note = (
-        "printed normalization (x pi)"
-        if norm is Normalization.PRINTED_PI and rep in _C2_PI_SCALED
-        else ""
-    )
-    compare = not pi_note
-    if rep == "double_factorial":
-        v = c2_double_factorial_sum(a, b, n)
-        return RepRow(rep, v, exact=_is_exact(v))
-    if rep == "hyp_closed":
-        v = c2_hyp_closed(a, b, n, norm)
-        return RepRow(rep, v, exact=_is_exact(v), note=pi_note, compare=compare)
-    if rep == "jacobi":
-        v = c2_jacobi(a, b, n, norm)
-        return RepRow(rep, v, exact=_is_exact(v), note=pi_note, compare=compare)
-    if rep == "quadrature":
-        q = c2_quadrature(a, b, n, tol=quad_tol)
-        return RepRow(rep, q.value, err=q.abs_err_est, terms=q.evaluations)
-    if rep == "gf_coefficient":
-        v = c2_gf_coefficient(a, b, n)
-        return RepRow(rep, v, exact=_is_exact(v))
-    if rep == "hyp_unbounded":
-        v = c2_hyp_unbounded(a, b, n, norm)
-        return RepRow(rep, v, note=pi_note, compare=compare)
-    if rep == "legendre_sec2":
-        v = c2_legendre(a, b, n, LegendreVariant.SEC2, norm)
-        return RepRow(rep, v, note=pi_note, compare=compare)
-    if rep == "legendre_eq0b":
-        v = c2_legendre(a, b, n, LegendreVariant.EQ0B, norm)
-        note = "printed prefactor variant, known inconsistent; see the errata command"
-        return RepRow(rep, v, note=note, compare=False)
-    raise ValueError(f"unknown representation {rep!r}")
-
-
-def cmd_c2(args) -> int:
-    a, b, n = args.a, args.b, args.n
-    if a < 0:
-        return _invalid(f"a must be >= 0, got {format_scalar(a)}")
-    if b <= 0:
-        return _invalid(f"b must be > 0, got {format_scalar(b)}")
-    norm = Normalization(args.normalization)
-    quad_tol = _quad_tol(args.tol)
-    inputs = (
-        ("a", a),
-        ("b", b),
-        ("n", n),
-        ("rep", args.rep),
-        ("normalization", args.normalization),
-        ("tol", args.tol),
-    )
+def cmd_compare(args) -> int:
+    """Evaluate one quantity by the representations `--rep` selects."""
+    echo, reps = _QUANTITIES[args.command]
+    for name in echo:
+        value = getattr(args, name)
+        if name in _GUARDS and not _GUARDS[name][0](value):
+            return _invalid(f"{_GUARDS[name][1]}, got {format_scalar(value)}")
+    inputs = tuple((name, getattr(args, name)) for name in echo)
+    norm = Normalization(getattr(args, "normalization", "gf"))
+    x = argparse.Namespace(**vars(args), norm=norm, quad_tol=_quad_tol(args.tol))
     if args.rep != "all":
         try:
-            row = _c2_row(args.rep, a, b, n, norm, quad_tol)
+            row = RepRow(args.rep, **reps[args.rep](x))
         except (ValueError, ZeroDivisionError) as exc:
             return _invalid(str(exc))
         except QuadratureError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        report = CompareReport("c2", inputs, (row,))
-        _emit(report, args.format)
+        _emit(CompareReport(args.command, inputs, (row,)), args.format)
         return 0
     rows = []
-    for rep in _C2_ALL:
+    for rep, build in reps.items():
+        if rep in ON_REQUEST:
+            continue
         try:
-            rows.append(_c2_row(rep, a, b, n, norm, quad_tol))
+            rows.append(RepRow(rep, **build(x)))
         except (ValueError, ZeroDivisionError, QuadratureError) as exc:
             rows.append(RepRow(rep, skipped=True, note=str(exc)))
-    notes = ()
-    if norm is Normalization.PRINTED_PI:
-        notes = (
-            "printed normalization multiplies the closed forms by pi; "
-            "sum, quadrature and coefficient rows stay on the "
-            "generating-function scale and are compared alone",
-        )
-    report = CompareReport("c2", inputs, tuple(rows), notes)
-    _emit(report, args.format)
-    return 0 if report.within(args.tol) else 1
-
-
-# ------------------------------------------------------------- functional
-
-_CF_ALL = ("double_sum", "series", "quadrature", "via_q")
-
-
-def _cf_row(rep: str, a, b, p, n: int, quad_tol: float) -> RepRow:
-    if rep == "double_sum":
-        v = cf_double_sum(a, b, p, n)
-        return RepRow(rep, v, exact=_is_exact(v))
-    if rep == "series":
-        ev = cf_series_detailed(a, b, p, n)
-        note = f"{ev.branch} branch, y = {format_float(ev.ratio)}"
-        return RepRow(rep, ev.value, terms=ev.terms, note=note)
-    if rep == "quadrature":
-        q = cf_quadrature(a, b, p, n, tol=quad_tol)
-        return RepRow(rep, q.value, err=q.abs_err_est, terms=q.evaluations)
-    if rep == "via_q":
-        v = cf_via_q(a, b, p, n)
-        return RepRow(rep, v, exact=_is_exact(v))
-    raise ValueError(f"unknown representation {rep!r}")
-
-
-def cmd_functional(args) -> int:
-    a, b, p, n = args.a, args.b, args.p, args.n
-    if a < 0:
-        return _invalid(f"a must be >= 0, got {format_scalar(a)}")
-    if b <= 0:
-        return _invalid(f"b must be > 0, got {format_scalar(b)}")
-    if not 0 < p < 1:
-        return _invalid(f"p must lie in (0, 1), got {format_scalar(p)}")
-    quad_tol = _quad_tol(args.tol)
-    inputs = (
-        ("a", a),
-        ("b", b),
-        ("p", p),
-        ("n", n),
-        ("rep", args.rep),
-        ("tol", args.tol),
-    )
-    if args.rep != "all":
-        try:
-            row = _cf_row(args.rep, a, b, p, n, quad_tol)
-        except (ValueError, ZeroDivisionError) as exc:
-            return _invalid(str(exc))
-        except QuadratureError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        report = CompareReport("functional", inputs, (row,))
-        _emit(report, args.format)
-        return 0
-    rows = []
-    for rep in _CF_ALL:
-        try:
-            rows.append(_cf_row(rep, a, b, p, n, quad_tol))
-        except (ValueError, ZeroDivisionError, QuadratureError) as exc:
-            rows.append(RepRow(rep, skipped=True, note=str(exc)))
-    report = CompareReport("functional", inputs, tuple(rows))
-    _emit(report, args.format)
-    return 0 if report.within(args.tol) else 1
-
-
-# ---------------------------------------------------------------------- q
-
-_Q_ALL = ("series", "stirling", "polylog", "recurrence", "hyp")
-
-
-def _q_row(rep: str, n: int, y, p) -> RepRow:
-    if rep == "series":
-        v, terms = q_series_with_terms(n, y, p)
-        return RepRow(rep, v, terms=terms)
-    if rep == "stirling":
-        v = q_stirling(n, y, p)
-        return RepRow(rep, v, exact=_is_exact(v))
-    if rep == "polylog":
-        v = q_polylog(n, y, p)
-        return RepRow(rep, v, exact=_is_exact(v))
-    if rep == "recurrence":
-        v = q_recurrence_value(n, y, p)
-        return RepRow(rep, v, exact=_is_exact(v))
-    if rep == "hyp":
-        v = q_hyp(n, y, p)
-        note = "printed form, excluded from comparison; see the errata command"
-        return RepRow(rep, v, note=note, compare=False)
-    raise ValueError(f"unknown representation {rep!r}")
-
-
-def cmd_q(args) -> int:
-    n, y, p = args.n, args.y, args.p
-    if not 0 < p < 1:
-        return _invalid(f"p must lie in (0, 1), got {format_scalar(p)}")
-    inputs = (("n", n), ("y", y), ("p", p), ("rep", args.rep), ("tol", args.tol))
-    if args.rep != "all":
-        try:
-            row = _q_row(args.rep, n, y, p)
-        except (ValueError, ZeroDivisionError) as exc:
-            return _invalid(str(exc))
-        report = CompareReport("q", inputs, (row,))
-        _emit(report, args.format)
-        return 0
-    rows = []
-    for rep in _Q_ALL:
-        try:
-            rows.append(_q_row(rep, n, y, p))
-        except (ValueError, ZeroDivisionError) as exc:
-            rows.append(RepRow(rep, skipped=True, note=str(exc)))
-    report = CompareReport("q", inputs, tuple(rows))
+    notes = (_PAPER_NOTE,) if norm is Normalization.PRINTED_PI else ()
+    report = CompareReport(args.command, inputs, tuple(rows), notes)
     _emit(report, args.format)
     return 0 if report.within(args.tol) else 1
 
@@ -768,33 +705,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_parse_number, required=True)
     p.add_argument("--b", type=_parse_number, required=True)
     p.add_argument("--n", type=_parse_nonneg_int, required=True)
-    p.add_argument("--rep", choices=_C2_REPS + ("all",), default="all")
+    p.add_argument("--rep", choices=(*C2_REPS, "all"), default="all")
     p.add_argument(
         "--normalization", choices=("gf", "paper"), default="gf",
         help="gf: generating-function scale; paper: printed scale (x pi)",
     )
     _add_tol(p)
     _add_format(p)
-    p.set_defaults(run=cmd_c2)
+    p.set_defaults(run=cmd_compare)
 
     p = sub.add_parser("functional", help="fractional-order family cf(n; a, b, p)")
     p.add_argument("--a", type=_parse_number, required=True)
     p.add_argument("--b", type=_parse_number, required=True)
     p.add_argument("--p", type=_parse_number, required=True)
     p.add_argument("--n", type=_parse_nonneg_int, required=True)
-    p.add_argument("--rep", choices=_CF_ALL + ("all",), default="all")
+    p.add_argument("--rep", choices=(*FUNCTIONAL_REPS, "all"), default="all")
     _add_tol(p)
     _add_format(p)
-    p.set_defaults(run=cmd_functional)
+    p.set_defaults(run=cmd_compare)
 
     p = sub.add_parser("q", help="auxiliary series Q(n, y, p)")
     p.add_argument("--n", type=_parse_nonneg_int, required=True)
     p.add_argument("--y", type=_parse_number, required=True)
     p.add_argument("--p", type=_parse_number, default=Fraction(1, 2))
-    p.add_argument("--rep", choices=_Q_ALL + ("all",), default="all")
+    p.add_argument("--rep", choices=(*Q_REPS, "all"), default="all")
     _add_tol(p)
     _add_format(p)
-    p.set_defaults(run=cmd_q)
+    p.set_defaults(run=cmd_compare)
 
     p = sub.add_parser("errata", help="measure the published-form discrepancies")
     _add_tol(p)

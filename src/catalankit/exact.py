@@ -41,6 +41,12 @@ __all__ = [
 ]
 
 
+def _is_exact(*xs) -> bool:
+    """The package's one exactness test: every x is an int or a Fraction.
+    A route returns a Fraction only if its inputs pass it."""
+    return all(isinstance(x, (int, Fraction)) for x in xs)
+
+
 def catalan_formulas(n: int) -> dict[str, Fraction]:
     """C_n by each closed formula separately, keyed by formula name.
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .catalan2 import c2_hyp_closed
-from .exact import exact_pow, rising_factorial
+from .exact import _is_exact, exact_pow, rising_factorial
 from .qfunc import _pochhammer_series, q_series_with_terms, q_stirling
 from .quad import HalflineIntegrand, QuadResult, integrate_halfline
 
@@ -55,10 +55,6 @@ def _check_domain(a, b, p, n: int) -> None:
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
 
 
-def _exact_scalars(*xs) -> bool:
-    return all(isinstance(x, (int, Fraction)) for x in xs)
-
-
 def _b_to_p(b, p):
     """(b**p, is_exact): Fraction when the power is rational, else float."""
     power = exact_pow(Fraction(b), Fraction(p))
@@ -71,7 +67,7 @@ def _series_ratio(a, b, p) -> Fraction:
     """y = b^p/a for the single series: exact when b^p and a are rational,
     else the float quotient taken as a Fraction."""
     power, power_exact = _b_to_p(b, p)
-    if power_exact and _exact_scalars(a):
+    if power_exact and _is_exact(a):
         return Fraction(power) / Fraction(a)
     return Fraction(float(power) / float(a))
 
@@ -131,7 +127,7 @@ def cf_double_sum(a, b, p, n: int):
             (inner * weight**k for k, inner in enumerate(inner_sums)), Fraction(0)
         )
         value = total / ((af + power) * factorial(n) * bf**n)
-        return value if _exact_scalars(a, b, p) else float(value)
+        return value if _is_exact(a, b, p) else float(value)
     af, bf = float(a), float(b)
     weight = 1.0 / (1.0 + af / power)
     total = math.fsum(float(inner) * weight**k for k, inner in enumerate(inner_sums))
@@ -225,7 +221,7 @@ def cf_via_q(a, b, p, n: int):
         if y > 1:
             raise ValueError(f"cf_via_q needs b^p <= a, got y = {float(y)!r}")
         value = q_stirling(n, y, Fraction(p)) / (Fraction(a) * Fraction(b) ** n * factorial(n))
-        return value if _exact_scalars(a, b, p) else float(value)
+        return value if _is_exact(a, b, p) else float(value)
     y = float(power) / float(a)
     if y > 1:
         raise ValueError(f"cf_via_q needs b^p <= a, got y = {y!r}")
@@ -242,7 +238,7 @@ def cf_half_reduction_check(a, b, n: int, tol: float = 1e-10) -> bool:
     """
     lhs = cf_double_sum(a, b, Fraction(1, 2), n)
     rhs = c2_hyp_closed(a, b, n)
-    if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
+    if _is_exact(lhs, rhs):
         return lhs == rhs
     lhs, rhs = float(lhs), float(rhs)
     return abs(lhs - rhs) <= tol * abs(rhs)

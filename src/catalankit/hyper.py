@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .exact import rising_factorial
+from .exact import _is_exact, rising_factorial
 
 __all__ = [
     "HypTermination",
@@ -86,10 +86,6 @@ def _nonpositive_int(x) -> int | None:
 def _auto_termination(upper) -> HypTermination:
     cuts = [k for k in (_nonpositive_int(u) for u in upper) if k is not None]
     return HypTermination.terminating(min(cuts)) if cuts else HypTermination.convergent()
-
-
-def _exact_inputs(*xs) -> bool:
-    return all(isinstance(x, (int, Fraction)) for x in xs)
 
 
 def _sum_terminating(upper, lower, z, k_max: int) -> Fraction:
@@ -172,7 +168,7 @@ def pfq_series(upper, lower, z, term: HypTermination | None = None):
         term = _auto_termination(upper)
     if term.k_max is not None:
         total = _sum_terminating(upper, lower, z, term.k_max)
-        return total if _exact_inputs(*upper, *lower, z) else float(total)
+        return total if _is_exact(*upper, *lower, z) else float(total)
     return _sum_convergent(upper, lower, z, term.tol, term.max_terms)
 
 
@@ -194,7 +190,7 @@ def jacobi_p(n: int, alpha, beta, x):
     lead = rising_factorial(a + 1, n)
     f = _sum_terminating((-n, n + a + b + 1), (a + 1,), (1 - xx) / 2, n)
     out = lead * f / factorial(n)
-    return out if _exact_inputs(alpha, beta, x) else float(out)
+    return out if _is_exact(alpha, beta, x) else float(out)
 
 
 def assoc_legendre_p(nu, mu, x) -> float:

@@ -35,6 +35,7 @@ from math import factorial
 from .exact import (
     Polynomial,
     RationalFunction,
+    _is_exact,
     falling_factorial,
     geometric_polynomial,
     polylog_neg,
@@ -71,10 +72,6 @@ def _check_n(n) -> None:
 def _check_p(p) -> None:
     if not 0 < p < 1:
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
-
-
-def _exact_scalars(*xs) -> bool:
-    return all(isinstance(x, (int, Fraction)) for x in xs)
 
 
 def series_tail_bound(n: int, y: Fraction, p: Fraction, start: int) -> Fraction:
@@ -190,7 +187,7 @@ def q_stirling(n: int, y, p):
         for k in range(1, n + 1):
             acc += stirling_first(n, k) * (-pf) ** k * geometric_polynomial(k)(u)
         value = Fraction(-1) ** (n + 1) * (yf / (1 + yf)) * acc
-    return value if _exact_scalars(y, p) else float(value)
+    return value if _is_exact(y, p) else float(value)
 
 
 def q_polylog(n: int, y, p):
@@ -211,7 +208,7 @@ def q_polylog(n: int, y, p):
     for k in range(1, n + 1):
         acc += stirling_first(n, k) * polylog_neg(k)(-yf) * pf**k
     value = Fraction(-1) ** n * acc
-    return value if _exact_scalars(y, p) else float(value)
+    return value if _is_exact(y, p) else float(value)
 
 
 def q_hyp(n: int, y, p, tol: float = 1e-15, max_terms: int = 100_000) -> float:
@@ -279,7 +276,7 @@ def q_recurrence_value(n: int, y, p):
     if not y >= 0:
         raise ValueError(f"q_recurrence_value needs y >= 0, got {y!r}")
     value = q_rational_recurrence(n, Fraction(p))(Fraction(y))
-    return value if _exact_scalars(y, p) else float(value)
+    return value if _is_exact(y, p) else float(value)
 
 
 def q_recurrence_check(n: int, y, p) -> bool:

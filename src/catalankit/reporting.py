@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact import _is_exact
+
 __all__ = [
     "RepRow",
     "CompareReport",
@@ -72,7 +74,7 @@ def max_pairwise_rel_diff(values) -> float | None:
     vals = list(values)
     if len(vals) < 2:
         return None
-    if all(isinstance(v, (int, Fraction)) for v in vals) and len(set(vals)) == 1:
+    if _is_exact(*vals) and len(set(vals)) == 1:
         return 0.0  # exact agreement, no float conversion (values may be huge)
     vals = [float(v) for v in vals]
     worst = 0.0

@@ -124,6 +124,54 @@ def test_exit_2_on_unparsable_number(capsys):
     capsys.readouterr()
 
 
+def test_exit_2_on_exponent_past_bound(capsys):
+    # Fraction("1e100000") alone builds a 332193-bit power of ten; the
+    # bound refuses it before any arithmetic, with a message
+    with pytest.raises(SystemExit) as exc:
+        main(["c2", "--a", "1e100000", "--b", "4", "--n", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "|exponent| > 400: '1e100000'" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["q", "--n", "1", "--y", "1E-401"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "c2", "--a", "1e400", "--b", "4", "--n", "0",
+                           "--rep", "double_factorial")
+    assert code == 0
+    assert f"1/{10**400 + 2}" in out
+
+
+REGISTRY_POINTS = {
+    "c2": ("--a", "2", "--b", "25/4", "--n", "3"),
+    "functional": ("--a", "1", "--b", "1/2", "--p", "1/4", "--n", "3"),
+    "q": ("--n", "5", "--y", "2/5", "--p", "1/3"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REGISTRY_POINTS))
+def test_single_rep_rows_equal_rows_of_all(capsys, command):
+    argv = (command, *REGISTRY_POINTS[command], "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert not any(row["skipped"] for row in rows)  # the point is in every domain
+    for row in rows:
+        code, out, _ = run_cli(capsys, *argv, "--rep", row["rep"])
+        assert code == 0
+        assert json.loads(out)["results"] == [row]
+
+
+def test_on_request_rep_is_accepted_but_not_in_all(capsys):
+    argv = ("c2", *REGISTRY_POINTS["c2"], "--format", "json")
+    _, out, _ = run_cli(capsys, *argv)
+    assert "legendre_eq0b" not in [row["rep"] for row in json.loads(out)["results"]]
+    code, out, _ = run_cli(capsys, *argv, "--rep", "legendre_eq0b")
+    assert code == 0
+    (row,) = json.loads(out)["results"]
+    assert row["rep"] == "legendre_eq0b" and row["note"]
+
+
 def test_exit_1_on_tolerance_failure(capsys):
     # representations agree to ~1e-16 but not to 1e-30
     code, out, _ = run_cli(capsys, "q", "--n", "3", "--y", "1/2",
