@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .exact import _is_exact, catalan, double_factorial, exact_sqrt
+from .exact import _is_exact, _to_float, catalan, double_factorial, exact_sqrt
 from .hyper import assoc_legendre_p, gauss_2f1, jacobi_p
 from .quad import HalflineIntegrand, QuadResult, integrate_halfline
 from .series import gf_catalan2
@@ -89,21 +89,30 @@ def c2_double_factorial_sum(a, b, n: int):
     """
     _check_domain(a, b, n)
     root, root_exact = _sqrt_b(b)
-    if root_exact:
-        base = 1 + Fraction(a) / root
-        scale = double_factorial(2 * n) * Fraction(b) ** n * root
-    else:
-        base = 1.0 + float(a) / root
-        scale = double_factorial(2 * n) * float(b) ** n * root
-    total = base * 0
+    weights = []
     for k in range(n + 1):
         top, bot = 2 * n - k - 1, 2 * (n - k)
         weight = (1 if bot == 0 else 0) if top < 0 else comb(top, bot)
+        weights.append(weight * factorial(k) * double_factorial(2 * (n - k) - 1))
+    if root_exact:
+        # With base = B_n/B_d, term k is weight B_d^(k+1) B_n^(n-k) over
+        # the common denominator B_n^(n+1); Horner in B_n sums it.
+        base = 1 + Fraction(a) / root
+        bn, bd = base.numerator, base.denominator
+        total, bd_power = 0, bd
+        for weight in weights:
+            total = total * bn + weight * bd_power
+            bd_power *= bd
+        scale = double_factorial(2 * n) * Fraction(b) ** n * root
+        value = Fraction(total * scale.denominator, bn ** (n + 1) * scale.numerator)
+        return value if _is_exact(a, b) else _to_float(value)
+    base = 1.0 + float(a) / root
+    scale = double_factorial(2 * n) * float(b) ** n * root
+    total = 0.0
+    for k, weight in enumerate(weights):
         if weight:
-            weight *= factorial(k) * double_factorial(2 * (n - k) - 1)
             total += weight / base ** (k + 1)
-    value = total / scale
-    return value if root_exact and _is_exact(a, b) else float(value)
+    return float(total / scale)
 
 
 def c2_quadrature(a, b, n: int, tol: float = 1e-10) -> QuadResult:
@@ -140,9 +149,10 @@ def c2_hyp_closed(a, b, n: int, norm: Normalization = Normalization.GENERATING_F
     aa = Fraction(a) if root_exact else float(a)
     z = (root - aa) / (2 * root)
     pref = catalan(n) / ((2 * root) ** n * (aa + root) ** (n + 1))
-    value = pref * gauss_2f1(1 - n, n, n + 2, z) * _norm_factor(norm)
-    exact = root_exact and _is_exact(a, b) and norm is Normalization.GENERATING_FUNCTION
-    return value if exact else float(value)
+    value = pref * gauss_2f1(1 - n, n, n + 2, z)
+    if root_exact and _is_exact(a, b) and norm is Normalization.GENERATING_FUNCTION:
+        return value
+    return _to_float(value) * _norm_factor(norm)
 
 
 def c2_hyp_unbounded(
@@ -177,9 +187,10 @@ def c2_jacobi(a, b, n: int, norm: Normalization = Normalization.GENERATING_FUNCT
     root, root_exact = _sqrt_b(b)
     aa = Fraction(a) if root_exact else float(a)
     pref = 1 / (n * (2 * root) ** n * (aa + root) ** (n + 1))
-    value = pref * jacobi_p(n - 1, n + 1, -n - 1, aa / root) * _norm_factor(norm)
-    exact = root_exact and _is_exact(a, b) and norm is Normalization.GENERATING_FUNCTION
-    return value if exact else float(value)
+    value = pref * jacobi_p(n - 1, n + 1, -n - 1, aa / root)
+    if root_exact and _is_exact(a, b) and norm is Normalization.GENERATING_FUNCTION:
+        return value
+    return _to_float(value) * _norm_factor(norm)
 
 
 def c2_legendre(
@@ -230,7 +241,7 @@ def c2_gf_coefficient(a, b, n: int):
     """
     _check_domain(a, b, n)
     value = gf_catalan2(a, b, n + 1).coefficient(n)
-    return value if _is_exact(a, b) and isinstance(value, Fraction) else float(value)
+    return value if _is_exact(a, b) and isinstance(value, Fraction) else _to_float(value)
 
 
 # Published value table for n = 0..5: numerator terms (coeff, a_power,

@@ -47,6 +47,17 @@ def _is_exact(*xs) -> bool:
     return all(isinstance(x, (int, Fraction)) for x in xs)
 
 
+def _to_float(x) -> float:
+    """float(x), with a ValueError that gives the reason when x is an
+    exact value beyond the float range (float() raises OverflowError)."""
+    try:
+        return float(x)
+    except OverflowError:
+        q = Fraction(x)
+        exp10 = math.log10(abs(q.numerator)) - math.log10(q.denominator)
+        raise ValueError(f"value about 1e{exp10:+.0f} is outside float range") from None
+
+
 def catalan_formulas(n: int) -> dict[str, Fraction]:
     """C_n by each closed formula separately, keyed by formula name.
 

@@ -3,9 +3,10 @@
 Two evaluation regimes, selected by :class:`HypTermination`:
 
 * terminating: a nonpositive-integer upper parameter cuts the series off
-  at a known index; the finite sum is then carried out in exact rational
-  arithmetic and rounded once at the end, so terminating evaluations are
-  immune to cancellation between large alternating terms.
+  at a known index; the finite sum is then carried out exactly, as
+  integer numerators over one running integer denominator, and rounded
+  once at the end, so terminating evaluations are immune to cancellation
+  between large alternating terms.
 * convergent: floating-point summation for |z| < 1, stopping once the
   current term is below tol relative to the partial sum for three
   consecutive terms.
@@ -93,31 +94,38 @@ def _sum_terminating(upper, lower, z, k_max: int) -> Fraction:
 
     Float inputs are converted to the dyadic rationals they already are,
     so the only rounding in a terminating evaluation is the caller's
-    final float() conversion.
+    final float() conversion. With upper u_i = un_i/ud_i, lower
+    v_j = vn_j/vd_j and z = zn/zd as integer pairs, term k+1 over term k
+    is P_k/Q_k with integers P_k = prod_i (un_i + k ud_i) * zn * prod_j vd_j
+    and Q_k = (k+1) prod_j (vn_j + k vd_j) * zd * prod_i ud_i. The term
+    and the partial sum are kept as integer numerators over one running
+    denominator, the product of the Q_k, so no step takes a gcd; only the
+    result becomes a Fraction. The early stop tests the upper factors
+    alone, so z = 0 still reaches the lower-parameter pole check.
     """
-    up = [Fraction(u) for u in upper]
-    lo = [Fraction(v) for v in lower]
-    zf = Fraction(z)
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(k_max + 1):
-        total += term
-        if k == k_max:
-            break
-        num = Fraction(1)
-        for u in up:
-            num *= u + k
+    up = [Fraction(u).as_integer_ratio() for u in upper]
+    lo = [Fraction(v).as_integer_ratio() for v in lower]
+    zn, zd = Fraction(z).as_integer_ratio()
+    p_scale = zn * math.prod(vd for _, vd in lo)
+    q_scale = zd * math.prod(ud for _, ud in up)
+    total = term = den = 1  # partial sum and term, both over den
+    for k in range(k_max):
+        num = 1
+        for un, ud in up:
+            num *= un + k * ud
         if num == 0:
             break
-        den = Fraction(k + 1)
-        for v in lo:
-            if v + k == 0:
+        q = (k + 1) * q_scale
+        for vn, vd in lo:
+            if vn + k * vd == 0:
                 raise HypergeometricError(
-                    f"lower parameter {v} hits a pole at term {k + 1}"
+                    f"lower parameter {Fraction(vn, vd)} hits a pole at term {k + 1}"
                 )
-            den *= v + k
-        term = term * num * zf / den
-    return total
+            q *= vn + k * vd
+        term *= num * p_scale
+        total = total * q + term
+        den *= q
+    return Fraction(total, den)
 
 
 def _sum_convergent(upper, lower, z, tol: float, max_terms: int) -> float:

@@ -36,6 +36,7 @@ from .exact import (
     Polynomial,
     RationalFunction,
     _is_exact,
+    _to_float,
     falling_factorial,
     geometric_polynomial,
     polylog_neg,
@@ -237,7 +238,8 @@ def q_hyp(n: int, y, p, tol: float = 1e-15, max_terms: int = 100_000) -> float:
     term = None if terminates else HypTermination.convergent(tol, max_terms)
     f = pfq_series(upper, lower, -yf, term)
     pref = Fraction(-1) ** (n - 1) * pf * factorial(n - 1) / yf ** (2 * n)
-    return float(pref * f)
+    # f is an exact Fraction when the series terminates, else a float
+    return _to_float(pref * f) if terminates else _to_float(pref) * f
 
 
 def q_rational(n: int, p) -> RationalFunction:

@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .exact import _is_exact
 
@@ -76,13 +77,16 @@ def max_pairwise_rel_diff(values) -> float | None:
         return None
     if _is_exact(*vals) and len(set(vals)) == 1:
         return 0.0  # exact agreement, no float conversion (values may be huge)
-    vals = [float(v) for v in vals]
     worst = 0.0
-    for i, vi in enumerate(vals):
-        for vj in vals[i + 1 :]:
-            scale = max(abs(vi), abs(vj))
-            if scale > 0:
-                worst = max(worst, abs(vi - vj) / scale)
+    for (x, fx), (y, fy) in combinations(zip(vals, map(float, vals)), 2):
+        scale = max(abs(fx), abs(fy))
+        if scale > 0:
+            worst = max(worst, abs(fx - fy) / scale)
+        elif scale == 0 and x != y:
+            # Both underflow to 0.0 but an exact value is not 0: measure
+            # the exact values (1 against a float 0).
+            x, y = Fraction(x), Fraction(y)
+            worst = max(worst, float(abs(x - y) / max(abs(x), abs(y))))
     return worst
 
 

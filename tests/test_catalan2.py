@@ -7,6 +7,7 @@ quadrature; the tests then hold every closed form to them.
 
 import math
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from catalankit.catalan2 import (
     c2_table_check,
     printed_table_value,
 )
-from catalankit.exact import catalan
+from catalankit.exact import catalan, double_factorial
 
 # independently derived: series oracle, confirmed by quadrature
 FROZEN = {
@@ -172,6 +173,35 @@ def test_exact_reps_agree_everywhere(a, b, n):
     assert c2_gf_coefficient(a, b, n) == sum_v
     if n >= 1:
         assert c2_jacobi(a, b, n) == sum_v
+
+
+def _plain_double_factorial_sum(a, b, n):
+    """The double-factorial sum term by term in Fraction arithmetic, for
+    a rational sqrt(b)."""
+    root = Fraction(math.isqrt(b.numerator), math.isqrt(b.denominator))
+    base = 1 + a / root
+    total = Fraction(0)
+    for k in range(n + 1):
+        top, bot = 2 * n - k - 1, 2 * (n - k)
+        weight = (1 if bot == 0 else 0) if top < 0 else comb(top, bot)
+        weight *= factorial(k) * double_factorial(2 * (n - k) - 1)
+        total += weight / base ** (k + 1)
+    return total / (double_factorial(2 * n) * b**n * root)
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=0, max_value=9),
+        st.fractions(min_value=0, max_value=20, max_denominator=50),
+    ),
+    st.fractions(min_value=Fraction(1, 20), max_value=12, max_denominator=20).map(
+        lambda r: r * r
+    ),
+    st.integers(min_value=0, max_value=30),
+)
+@settings(max_examples=80, deadline=None)
+def test_double_factorial_sum_matches_plain_fraction_loop(a, b, n):
+    assert c2_double_factorial_sum(a, b, n) == _plain_double_factorial_sum(a, b, n)
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,46 @@ def test_exit_2_on_exponent_past_bound(capsys):
     assert f"1/{10**400 + 2}" in out
 
 
+@pytest.mark.parametrize("rep", ["hyp_closed", "jacobi"])
+def test_c2_value_past_float_range_exits_2(capsys, rep):
+    # at the printed scale the exact value, about 1e750, must become a float
+    argv = ("c2", "--a", "0", "--b", "1e-300", "--n", "2", "--normalization", "paper")
+    code, out, err = run_cli(capsys, *argv, "--rep", rep)
+    assert code == 2
+    assert out == ""
+    assert err == "error: value about 1e+750 is outside float range\n"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = {row["rep"]: row for row in json.loads(out)["results"]}
+    assert rows[rep]["skipped"] is True
+    assert rows[rep]["note"] == "value about 1e+750 is outside float range"
+
+
+def test_q_hyp_past_float_range_is_skipped(capsys):
+    argv = ("q", "--n", "3", "--y", "1e-300")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = {row["rep"]: row for row in json.loads(out)["results"]}
+    assert rows["hyp"]["skipped"] is True
+    assert rows["hyp"]["note"] == "value about 1e+1800 is outside float range"
+    assert Fraction(rows["stirling"]["value"]) > 0
+    code, _, err = run_cli(capsys, *argv, "--rep", "hyp")
+    assert code == 2
+    assert "outside float range" in err
+
+
+def test_underflow_to_zero_is_not_agreement(capsys):
+    # the exact rows are about 1e-602; the float rows underflow to 0
+    code, out, _ = run_cli(capsys, "functional", "--a", "1e300", "--b", "4",
+                           "--p", "1/2", "--n", "2", "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    values = {row["rep"]: row["value"] for row in data["results"]}
+    assert values["series"] == 0 and values["quadrature"] == 0
+    assert Fraction(values["double_sum"]) > 0
+    assert data["max_pairwise_rel_diff"] == 1
+
+
 REGISTRY_POINTS = {
     "c2": ("--a", "2", "--b", "25/4", "--n", "3"),
     "functional": ("--a", "1", "--b", "1/2", "--p", "1/4", "--n", "3"),

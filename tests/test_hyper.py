@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catalankit.exact import rising_factorial
@@ -12,6 +12,7 @@ from catalankit.hyper import (
     HypConvergenceError,
     HypTermination,
     HypergeometricError,
+    _sum_terminating,
     assoc_legendre_p,
     gauss_2f1,
     jacobi_p,
@@ -66,6 +67,72 @@ def test_lower_parameter_pole_rejected():
     # but a terminating series may stop before reaching the pole
     v = gauss_2f1(-2, 1, Fraction(-7, 2), 1)
     assert isinstance(v, Fraction)
+
+
+def _plain_fraction_sum(upper, lower, z, k_max):
+    """The terminating sum term by term in Fraction arithmetic."""
+    up = [Fraction(u) for u in upper]
+    lo = [Fraction(v) for v in lower]
+    zf = Fraction(z)
+    total = Fraction(0)
+    term = Fraction(1)
+    for k in range(k_max + 1):
+        total += term
+        if k == k_max:
+            break
+        num = Fraction(1)
+        for u in up:
+            num *= u + k
+        if num == 0:
+            break
+        den = Fraction(k + 1)
+        for v in lo:
+            if v + k == 0:
+                raise HypergeometricError(
+                    f"lower parameter {v} hits a pole at term {k + 1}"
+                )
+            den *= v + k
+        term = term * num * zf / den
+    return total
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except HypergeometricError as exc:
+        return type(exc), str(exc)
+
+
+# ints and integer-valued floats reach early zeros and poles; floats are
+# 53-bit dyadic rationals
+_HYP_PARAM = st.one_of(
+    st.integers(min_value=-12, max_value=12),
+    st.fractions(min_value=-8, max_value=8, max_denominator=8),
+    st.integers(min_value=-12, max_value=6).map(float),
+    st.floats(min_value=-10, max_value=10, allow_nan=False),
+)
+_HYP_Z = st.one_of(
+    st.just(0),
+    st.fractions(min_value=-2, max_value=2, max_denominator=9),
+    st.floats(min_value=-2, max_value=2, allow_nan=False),
+)
+
+
+@given(
+    st.lists(_HYP_PARAM, max_size=3),
+    st.lists(_HYP_PARAM, max_size=3),
+    _HYP_Z,
+    st.integers(min_value=0, max_value=40),
+)
+@example([], [-1], 0, 4)  # z = 0 still reaches the pole of a lower parameter
+@example([-2, 0.5], [-3], Fraction(1, 3), 10)  # upper zero before the pole
+@example([0.5, 1.5], [-2.0], 0.25, 0)  # k_max = 0 stops before any pole
+@settings(max_examples=300, deadline=None)
+def test_terminating_sum_matches_plain_fraction_loop(upper, lower, z, k_max):
+    want = _outcome(_plain_fraction_sum, upper, lower, z, k_max)
+    got = _outcome(_sum_terminating, upper, lower, z, k_max)
+    assert got == want
+    assert type(got) is type(want)
 
 
 def test_divergent_argument_rejected():
