@@ -1,11 +1,11 @@
 """Calibrate the half-line integrator against closed-form Beta integrals.
 
-For each requested tolerance the script draws seeded random exponent
-triples (s, r, b), integrates t^(s-1) (b+t)^(-r) over the half line, and
-compares with the exact Beta value. The table reports the worst and
-median achieved relative error and the evaluation count spread, which is
-how the 10x-tolerance calibration margin used by the test suite was
-chosen.
+For each requested tolerance the script integrates the seeded random
+Beta cases of `catalankit.quad.beta_cases` (the draw the quadrature_beta
+selftest suite uses) and compares with the exact Beta value. The table
+reports the worst and median achieved relative error and the evaluation
+count spread, which is how the 10x-tolerance calibration margin used by
+the test suite was chosen.
 
 Usage:
     python scripts/quadrature_calibration.py
@@ -13,30 +13,14 @@ Usage:
 """
 
 import argparse
-import random
 import statistics
 
-from catalankit import HalflineIntegrand, beta_halfline, integrate_halfline
-
-
-def draw_case(rng):
-    s = rng.uniform(0.2, 3.0)
-    r = s + rng.uniform(0.3, 5.0)
-    b = rng.uniform(0.25, 4.0)
-    return s, r, b
+from catalankit.quad import beta_cases, integrate_halfline
 
 
 def run_tolerance(tol, cases, seed):
-    rng = random.Random(seed)
     errors, evals = [], []
-    for _ in range(cases):
-        s, r, b = draw_case(rng)
-        truth = beta_halfline(s, r, b)
-        integrand = HalflineIntegrand(
-            lambda t, s=s, r=r, b=b: t ** (s - 1.0) * (b + t) ** (-r),
-            endpoint_exponent=s - 1.0,
-            decay_exponent=r - s + 1.0,
-        )
+    for _, integrand, truth in beta_cases(cases, seed):
         result = integrate_halfline(integrand, tol=tol)
         errors.append(abs(result.value - truth) / abs(truth))
         evals.append(result.evaluations)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .exact import _is_exact, _to_float, catalan, double_factorial, exact_sqrt
+from .exact import _check_n, _is_exact, _to_float, catalan, double_factorial, exact_sqrt
 from .hyper import assoc_legendre_p, gauss_2f1, jacobi_p
 from .quad import HalflineIntegrand, QuadResult, integrate_halfline
 from .series import gf_catalan2
@@ -59,8 +59,7 @@ class LegendreVariant(enum.Enum):
 
 
 def _check_domain(a, b, n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    _check_n(n)
     if not a >= 0:
         raise ValueError(f"a must be >= 0, got {a!r}")
     if not b > 0:
@@ -171,7 +170,12 @@ def c2_hyp_unbounded(
     z = 1.0 - bf / af**2
     if not abs(z) < 1:
         raise ValueError(f"c2_hyp_unbounded needs |1 - b/a^2| < 1, got {z!r}")
-    pref = catalan(n) / 2 ** (2 * n + 1) * bf ** (0.5 - n) / af**2
+    try:
+        b_power = bf ** (0.5 - n)
+    except OverflowError:
+        exp10 = (0.5 - n) * math.log10(bf)
+        raise ValueError(f"b^(1/2-n) about 1e{exp10:+.0f} is outside float range") from None
+    pref = catalan(n) / 2 ** (2 * n + 1) * b_power / af**2
     return float(pref * gauss_2f1(1.0, 1.5, n + 2, z) * _norm_factor(norm))
 
 
@@ -290,7 +294,9 @@ class TableCheckRow:
         return abs(self.ratio - math.pi)
 
 
-_TABLE_GRID = ((1.0, 1.0), (1.0, 4.0), (0.5, 0.25), (2.0, 1.0), (0.3, 2.0))
+# The (a, b) grid of the table check; the errata command reads it too.
+# Exact, so errata names its rows 1/2 and 3/10; c2_table_check takes floats.
+_TABLE_GRID = ((1, 1), (1, 4), (Fraction(1, 2), Fraction(1, 4)), (2, 1), (Fraction(3, 10), 2))
 
 
 def c2_table_check(pairs=_TABLE_GRID, tol: float = 1e-10) -> list[TableCheckRow]:

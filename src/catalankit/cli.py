@@ -24,14 +24,15 @@ from __future__ import annotations
 
 import argparse
 import math
-import random
 import re
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import exact
 from .exact import _is_exact
 from .catalan2 import (
+    _TABLE_GRID,
     LegendreVariant,
     Normalization,
     c2_double_factorial_sum,
@@ -65,13 +66,7 @@ from .qfunc import (
     q_stirling,
     zform_check,
 )
-from .quad import (
-    HalflineIntegrand,
-    QuadratureError,
-    beta_halfline,
-    euler_integral_2f1_check,
-    integrate_halfline,
-)
+from .quad import QuadratureError, beta_cases, euler_integral_2f1_check, integrate_halfline
 from .reporting import CompareReport, RepRow, format_float, format_scalar, render_report
 
 __all__ = ["main", "C2_REPS", "FUNCTIONAL_REPS", "Q_REPS", "ON_REQUEST"]
@@ -286,19 +281,6 @@ def cmd_compare(args) -> int:
 # ----------------------------------------------------------------- errata
 
 
-def _verdict(ok: bool, text: str) -> str:
-    return ("confirmed: " if ok else "NOT confirmed: ") + text
-
-
-_ERRATA_TABLE_GRID = (
-    (1, 1),
-    (1, 4),
-    (Fraction(1, 2), Fraction(1, 4)),
-    (2, 1),
-    (Fraction(3, 10), 2),
-)
-
-
 def _errata_findings(tol: float) -> tuple[list[RepRow], bool]:
     rows: list[RepRow] = []
     all_ok = True
@@ -306,9 +288,10 @@ def _errata_findings(tol: float) -> tuple[list[RepRow], bool]:
     def add(name: str, value: float, ok: bool, text: str) -> None:
         nonlocal all_ok
         all_ok = all_ok and ok
-        rows.append(RepRow(name, value, compare=False, note=_verdict(ok, text)))
+        verdict = "confirmed: " if ok else "NOT confirmed: "
+        rows.append(RepRow(name, value, compare=False, note=verdict + text))
 
-    for a, b in _ERRATA_TABLE_GRID:
+    for a, b in _TABLE_GRID:
         worst = max(r.ratio_error for r in c2_table_check(((a, b),), tol=1e-10))
         add(
             f"table_pi(a={format_scalar(a)},b={format_scalar(b)})",
@@ -416,47 +399,42 @@ def cmd_errata(args) -> int:
 # --------------------------------------------------------------- selftest
 
 
-def _suite_catalan_formulas(quad_tol: float) -> list[str]:
-    fails = []
+def _suite_catalan_formulas(quad_tol: float) -> Iterator[str]:
     stream = exact.catalan_stream(61)
     for n in range(61):
         forms = exact.catalan_formulas(n)
         if len(set(forms.values())) != 1:
-            fails.append(f"n={n}: closed formulas disagree: {forms}")
+            yield f"n={n}: closed formulas disagree: {forms}"
         elif forms["factorial_quotient"] != stream[n]:
-            fails.append(
+            yield (
                 f"n={n}: recurrence gives {stream[n]}, "
                 f"formulas give {forms['factorial_quotient']}"
             )
     first = [1, 1, 2, 5, 14, 42, 132, 429]
     if stream[:8] != first:
-        fails.append(f"first eight values {stream[:8]} != {first}")
-    return fails
+        yield f"first eight values {stream[:8]} != {first}"
 
 
-def _suite_double_factorial(quad_tol: float) -> list[str]:
-    fails = []
+def _suite_double_factorial(quad_tol: float) -> Iterator[str]:
     if exact.double_factorial(-1) != 1 or exact.double_factorial(0) != 1:
-        fails.append("(-1)!! and 0!! must both be 1")
+        yield "(-1)!! and 0!! must both be 1"
     for n in range(40):
         even = exact.double_factorial(2 * n)
         odd = exact.double_factorial(2 * n - 1)
         if even != 2**n * math.factorial(n):
-            fails.append(f"(2n)!! != 2^n n! at n={n}")
+            yield f"(2n)!! != 2^n n! at n={n}"
         if even * odd != math.factorial(2 * n):
-            fails.append(f"(2n)!! (2n-1)!! != (2n)! at n={n}")
-    return fails
+            yield f"(2n)!! (2n-1)!! != (2n)! at n={n}"
 
 
-def _suite_stirling(quad_tol: float) -> list[str]:
-    fails = []
+def _suite_stirling(quad_tol: float) -> Iterator[str]:
     for n in range(9):
         for k in range(n + 1):
             surjections = sum(
                 (-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)
             )
             if exact.stirling_second(n, k) * math.factorial(k) != surjections:
-                fails.append(f"S({n},{k}) fails the surjection count")
+                yield f"S({n},{k}) fails the surjection count"
     for n in range(9):
         for m in range(9):
             total = sum(
@@ -464,24 +442,20 @@ def _suite_stirling(quad_tol: float) -> list[str]:
                 for k in range(n + 1)
             )
             if total != (1 if n == m else 0):
-                fails.append(f"first/second kind orthogonality fails at n={n}, m={m}")
-    return fails
+                yield f"first/second kind orthogonality fails at n={n}, m={m}"
 
 
-def _suite_geometric_polynomials(quad_tol: float) -> list[str]:
-    fails = []
+def _suite_geometric_polynomials(quad_tol: float) -> Iterator[str]:
     for n in range(9):
         if not exact.geometric_inverse_check(n):
-            fails.append(f"inversion identity fails at n={n}")
+            yield f"inversion identity fails at n={n}"
     fubini = [1, 1, 3, 13, 75, 541]
     for n, target in enumerate(fubini):
         if exact.geometric_polynomial(n)(Fraction(1)) != target:
-            fails.append(f"omega_{n}(1) != {target}")
-    return fails
+            yield f"omega_{n}(1) != {target}"
 
 
-def _suite_polylog(quad_tol: float) -> list[str]:
-    fails = []
+def _suite_polylog(quad_tol: float) -> Iterator[str]:
     closed = {
         1: lambda x: x / (1 - x) ** 2,
         2: lambda x: x * (1 + x) / (1 - x) ** 3,
@@ -491,54 +465,37 @@ def _suite_polylog(quad_tol: float) -> list[str]:
     for k, form in closed.items():
         for x in (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)):
             if exact.polylog_neg(k)(x) != form(x):
-                fails.append(f"Li_(-{k}) at x={x} misses its closed form")
-    return fails
+                yield f"Li_(-{k}) at x={x} misses its closed form"
 
 
-def _suite_hypergeometric(quad_tol: float) -> list[str]:
-    fails = []
+def _suite_hypergeometric(quad_tol: float) -> Iterator[str]:
     for n in range(7):
         for bb, cc in ((Fraction(1, 2), Fraction(7, 3)), (Fraction(3, 4), Fraction(5, 2))):
             lhs = gauss_2f1(-n, bb, cc, 1)
             rhs = exact.rising_factorial(cc - bb, n) / exact.rising_factorial(cc, n)
             if lhs != rhs:
-                fails.append(f"Chu-Vandermonde fails at n={n}, b={bb}, c={cc}")
+                yield f"Chu-Vandermonde fails at n={n}, b={bb}, c={cc}"
     if gauss_2f1(-3, -2, 2, 1) != 5:
-        fails.append("2F1(-3, -2; 2; 1) != 5")
+        yield "2F1(-3, -2; 2; 1) != 5"
     if jacobi_p(2, 4, -4, Fraction(0)) != Fraction(15, 2):
-        fails.append("P_2^(4,-4)(0) != 15/2")
+        yield "P_2^(4,-4)(0) != 15/2"
     if abs(assoc_legendre_p(0, -2, 0.5) - 1 / 6) > 1e-13:
-        fails.append("P_0^(-2)(1/2) != 1/6")
+        yield "P_0^(-2)(1/2) != 1/6"
     if abs(assoc_legendre_p(1, -2, 0.5) - 5 / 36) > 1e-13:
-        fails.append("P_1^(-2)(1/2) != 5/36")
-    return fails
+        yield "P_1^(-2)(1/2) != 5/36"
 
 
-def _suite_quadrature_beta(quad_tol: float) -> list[str]:
-    fails = []
-    rng = random.Random(_SELFTEST_SEED)
-    for i in range(50):
-        s = rng.uniform(0.2, 3.0)
-        r = s + rng.uniform(0.3, 5.0)
-        b = rng.uniform(0.25, 4.0)
-        truth = beta_halfline(s, r, b)
-        integrand = HalflineIntegrand(
-            lambda t, s=s, r=r, b=b: t ** (s - 1.0) * (b + t) ** (-r),
-            endpoint_exponent=s - 1.0,
-            decay_exponent=r - s + 1.0,
-        )
+def _suite_quadrature_beta(quad_tol: float) -> Iterator[str]:
+    for i, ((s, r, b), integrand, truth) in enumerate(beta_cases(50, _SELFTEST_SEED)):
+        case = f"case {i}: s={s!r}, r={r!r}, b={b!r}"
         try:
             got = integrate_halfline(integrand, tol=quad_tol).value
         except QuadratureError as exc:
-            fails.append(f"case {i}: s={s!r}, r={r!r}, b={b!r}: {exc}")
+            yield f"{case}: {exc}"
             continue
         rel = abs(got - truth) / abs(truth)
         if rel > 10.0 * quad_tol:
-            fails.append(
-                f"case {i}: s={s!r}, r={r!r}, b={b!r}: "
-                f"rel err {format_float(rel)} > {format_float(10.0 * quad_tol)}"
-            )
-    return fails
+            yield f"{case}: rel err {format_float(rel)} > {format_float(10.0 * quad_tol)}"
 
 
 _EULER_SETS = (
@@ -555,21 +512,18 @@ _EULER_SETS = (
 )
 
 
-def _suite_euler_integral(quad_tol: float) -> list[str]:
-    fails = []
+def _suite_euler_integral(quad_tol: float) -> Iterator[str]:
     for alpha, beta, gamma, z in _EULER_SETS:
         try:
             ok = euler_integral_2f1_check(alpha, beta, gamma, z, tol=1e-9)
         except QuadratureError as exc:
-            fails.append(f"({alpha}, {beta}, {gamma}, {z}): {exc}")
+            yield f"({alpha}, {beta}, {gamma}, {z}): {exc}"
             continue
         if not ok:
-            fails.append(f"({alpha}, {beta}, {gamma}, {z}): sides differ beyond 1e-9")
-    return fails
+            yield f"({alpha}, {beta}, {gamma}, {z}): sides differ beyond 1e-9"
 
 
-def _suite_q_identities(quad_tol: float) -> list[str]:
-    fails = []
+def _suite_q_identities(quad_tol: float) -> Iterator[str]:
     half, third = Fraction(1, 2), Fraction(1, 3)
     for n, y, p in (
         (0, Fraction(1, 4), half),
@@ -579,10 +533,10 @@ def _suite_q_identities(quad_tol: float) -> list[str]:
         (4, Fraction(1, 5), half),
     ):
         if not q_recurrence_check(n, y, p):
-            fails.append(f"recurrence check fails at n={n}, y={y}, p={p}")
+            yield f"recurrence check fails at n={n}, y={y}, p={p}"
     for n, k_max in ((2, 30), (4, 60)):
         if not q_derivative_form_check(n, k_max, Fraction(1, 3), half):
-            fails.append(f"derivative form check fails at n={n}")
+            yield f"derivative form check fails at n={n}"
     polys = (
         (exact.Polynomial([1, 2, 3]), Fraction(1, 3)),
         (exact.Polynomial([0, 1]), Fraction(-1, 3)),
@@ -590,23 +544,21 @@ def _suite_q_identities(quad_tol: float) -> list[str]:
     )
     for poly, y in polys:
         if not boyadzhiev_check(poly, y):
-            fails.append(f"series transform fails for coefficients {poly.coeffs}")
+            yield f"series transform fails for coefficients {poly.coeffs}"
     for n in range(7):
         for k in range(n + 1):
             if not pochhammer_derivative_check(n, k):
-                fails.append(f"Pochhammer derivative fails at n={n}, k={k}")
+                yield f"Pochhammer derivative fails at n={n}, k={k}"
     for n in range(1, 6):
         if not zform_check(n):
-            fails.append(f"z-form bracket identity fails at n={n}")
-    return fails
+            yield f"z-form bracket identity fails at n={n}"
 
 
-def _suite_functional_consistency(quad_tol: float) -> list[str]:
-    fails = []
+def _suite_functional_consistency(quad_tol: float) -> Iterator[str]:
     for a, b in ((1, 1), (1, 4), (2, 1)):
         for n in range(6):
             if not cf_half_reduction_check(a, b, n):
-                fails.append(f"p = 1/2 reduction fails at a={a}, b={b}, n={n}")
+                yield f"p = 1/2 reduction fails at a={a}, b={b}, n={n}"
     points = (
         (1, 2, Fraction(1, 3), 2),
         (Fraction(1, 2), Fraction(1, 2), Fraction(1, 4), 3),
@@ -618,11 +570,11 @@ def _suite_functional_consistency(quad_tol: float) -> list[str]:
         try:
             quad = cf_quadrature(a, b, p, n, tol=quad_tol).value
         except QuadratureError as exc:
-            fails.append(f"quadrature at (a={a}, b={b}, p={p}, n={n}): {exc}")
+            yield f"quadrature at (a={a}, b={b}, p={p}, n={n}): {exc}"
             continue
         rel = abs(exact_value - quad) / abs(quad)
         if rel > 10.0 * quad_tol:
-            fails.append(
+            yield (
                 f"double sum vs quadrature at (a={a}, b={b}, p={p}, n={n}): "
                 f"rel err {format_float(rel)}"
             )
@@ -630,13 +582,12 @@ def _suite_functional_consistency(quad_tol: float) -> list[str]:
         series = cf_series(a, b, Fraction(1, 2), 1)
         total = float(cf_double_sum(a, b, Fraction(1, 2), 1))
         if abs(series - total) > 1e-12 * abs(total):
-            fails.append(f"series vs double sum at a={a}, b={b}, n=1")
+            yield f"series vs double sum at a={a}, b={b}, n=1"
     for n in range(5):
         if cf_via_q(2, 1, Fraction(1, 2), n) != cf_double_sum(2, 1, Fraction(1, 2), n):
-            fails.append(f"via_q vs double sum at (2, 1, 1/2, n={n})")
+            yield f"via_q vs double sum at (2, 1, 1/2, n={n})"
         if cf_via_q(1, 1, Fraction(1, 3), n) != cf_double_sum(1, 1, Fraction(1, 3), n):
-            fails.append(f"via_q vs double sum on the boundary (1, 1, 1/3, n={n})")
-    return fails
+            yield f"via_q vs double sum on the boundary (1, 1, 1/3, n={n})"
 
 
 _SUITES = {
@@ -658,7 +609,7 @@ def cmd_selftest(args) -> int:
     quad_tol = min(max(args.quad_tol, 1e-14), 1e-3)
     passed = 0
     for name in names:
-        failures = _SUITES[name](quad_tol)
+        failures = list(_SUITES[name](quad_tol))
         if failures:
             print(f"{name}: FAIL")
             for line in failures[:20]:

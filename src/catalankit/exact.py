@@ -58,6 +58,17 @@ def _to_float(x) -> float:
         raise ValueError(f"value about 1e{exp10:+.0f} is outside float range") from None
 
 
+# The domain rules that every route taking n or p applies, in one place.
+def _check_n(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+
+
+def _check_p(p) -> None:
+    if not 0 < p < 1:
+        raise ValueError(f"p must lie in (0, 1), got {p!r}")
+
+
 def catalan_formulas(n: int) -> dict[str, Fraction]:
     """C_n by each closed formula separately, keyed by formula name.
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .catalan2 import c2_hyp_closed
-from .exact import _is_exact, exact_pow, rising_factorial
+from .catalan2 import _check_domain as _check_c2_domain, c2_hyp_closed
+from .exact import _check_p, _is_exact, exact_pow, rising_factorial
 from .qfunc import _pochhammer_series, q_series_with_terms, q_stirling
 from .quad import HalflineIntegrand, QuadResult, integrate_halfline
 
@@ -45,14 +45,8 @@ __all__ = [
 
 
 def _check_domain(a, b, p, n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if not a >= 0:
-        raise ValueError(f"a must be >= 0, got {a!r}")
-    if not b > 0:
-        raise ValueError(f"b must be > 0, got {b!r}")
-    if not 0 < p < 1:
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
+    _check_c2_domain(a, b, n)
+    _check_p(p)
 
 
 def _b_to_p(b, p):

@@ -35,6 +35,8 @@ from math import factorial
 from .exact import (
     Polynomial,
     RationalFunction,
+    _check_n,
+    _check_p,
     _is_exact,
     _to_float,
     falling_factorial,
@@ -63,16 +65,6 @@ __all__ = [
     "zform_bracket",
     "zform_check",
 ]
-
-
-def _check_n(n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-
-
-def _check_p(p) -> None:
-    if not 0 < p < 1:
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
 
 
 def series_tail_bound(n: int, y: Fraction, p: Fraction, start: int) -> Fraction:

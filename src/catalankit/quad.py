@@ -24,6 +24,7 @@ inputs produce bit-identical results.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +36,7 @@ __all__ = [
     "QuadratureError",
     "integrate_halfline",
     "beta_halfline",
+    "beta_cases",
     "euler_integral_2f1_check",
 ]
 
@@ -108,7 +110,8 @@ def integrate_halfline(
 
     The result satisfies |value - integral| <= max(tol * |value|, 1e-300)
     up to the reliability of the embedded error estimate, which the
-    calibration selftest measures against Beta-integral ground truth.
+    calibration selftest measures against Beta-integral ground truth
+    drawn by `beta_cases`.
     Deterministic: identical inputs give bit-identical results. Raises
     QuadratureError when the evaluation budget is exhausted first.
     """
@@ -185,6 +188,27 @@ def beta_halfline(s: float, r: float, b: float) -> float:
     return b ** (s - r) * math.gamma(s) * math.gamma(r - s) / math.gamma(r)
 
 
+def beta_cases(count: int, seed: int):
+    """The seeded Beta calibration draw, shared by the `quadrature_beta`
+    selftest suite and scripts/quadrature_calibration.py.
+
+    Yields ``count`` cases ((s, r, b), integrand, exact value), with s in
+    [0.2, 3], r - s in [0.3, 5] and b in [0.25, 4], the integrand being
+    t^(s-1) (b+t)^(-r) with its exponents declared.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        s = rng.uniform(0.2, 3.0)
+        r = s + rng.uniform(0.3, 5.0)
+        b = rng.uniform(0.25, 4.0)
+        integrand = HalflineIntegrand(
+            lambda t, s=s, r=r, b=b: t ** (s - 1.0) * (b + t) ** (-r),
+            endpoint_exponent=s - 1.0,
+            decay_exponent=r - s + 1.0,
+        )
+        yield (s, r, b), integrand, beta_halfline(s, r, b)
+
+
 def euler_integral_2f1_check(
     alpha: float, beta: float, gamma: float, z: float, tol: float = 1e-9
 ) -> bool:
@@ -196,13 +220,6 @@ def euler_integral_2f1_check(
     within relative ``tol``. Requires beta > 0, alpha+1-gamma > 0 and
     0 < z < 2 so both sides are defined and the Gauss series converges.
     """
-    lhs, rhs = _euler_integral_sides(alpha, beta, gamma, z)
-    return abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs))
-
-
-def _euler_integral_sides(
-    alpha: float, beta: float, gamma: float, z: float
-) -> tuple[float, float]:
     if not (beta > 0.0 and alpha + 1.0 - gamma > 0.0):
         raise ValueError("euler integral: need beta > 0 and alpha + 1 - gamma > 0")
     if not 0.0 < z < 2.0:
@@ -213,16 +230,16 @@ def _euler_integral_sides(
             1.0 + t * z
         ) ** (-alpha)
 
-    quad = integrate_halfline(
+    lhs = integrate_halfline(
         HalflineIntegrand(
             f, endpoint_exponent=beta - 1.0, decay_exponent=alpha + 2.0 - gamma
         ),
         tol=1e-12,
-    )
-    closed = (
+    ).value
+    rhs = (
         math.gamma(beta)
         * math.gamma(alpha + 1.0 - gamma)
         / math.gamma(alpha + beta - gamma + 1.0)
         * float(gauss_2f1(alpha, beta, alpha + beta - gamma + 1.0, 1.0 - z))
     )
-    return quad.value, closed
+    return abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs))

@@ -80,6 +80,8 @@ def max_pairwise_rel_diff(values) -> float | None:
     worst = 0.0
     for (x, fx), (y, fy) in combinations(zip(vals, map(float, vals)), 2):
         scale = max(abs(fx), abs(fy))
+        if not (math.isfinite(fx) and math.isfinite(fy)):
+            return math.inf  # an overflowed row agrees with nothing (inf - inf is nan)
         if scale > 0:
             worst = max(worst, abs(fx - fy) / scale)
         elif scale == 0 and x != y:

@@ -160,15 +160,8 @@ def gf_catalan2(a, b, order: int) -> PowerSeries:
         raise ValueError("gf_catalan2: order must be >= 1")
     if not (a >= 0 and b > 0):
         raise ValueError("gf_catalan2: need a >= 0 and b > 0")
-    sqrt_b = exact_sqrt(Fraction(b))
-    if sqrt_b is not None:
-        af, bf = Fraction(a), Fraction(b)
-        base = PowerSeries((bf, Fraction(-1)) + (Fraction(0),) * max(0, order - 2))
-        root = series_sqrt(base)
-        denom = PowerSeries((root.coeffs[0] + af,) + root.coeffs[1:])
-        return series_recip(denom)
-    af, bf = float(a), float(b)
-    base = PowerSeries((bf, -1.0) + (0.0,) * max(0, order - 2))
+    num = float if exact_sqrt(b) is None else Fraction
+    base = PowerSeries((num(b), num(-1)) + (num(0),) * max(0, order - 2))
     root = series_sqrt(base)
-    denom = PowerSeries((root.coeffs[0] + af,) + root.coeffs[1:])
+    denom = PowerSeries((root.coeffs[0] + num(a),) + root.coeffs[1:])
     return series_recip(denom)

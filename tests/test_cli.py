@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,31 @@ def test_underflow_to_zero_is_not_agreement(capsys):
     assert data["max_pairwise_rel_diff"] == 1
 
 
+def test_hyp_unbounded_past_float_range_is_skipped(capsys):
+    # b^(1/2-n) = (1e-300)^(-5/2) overflows a float
+    argv = ("c2", "--a", "1e-150", "--b", "1e-300", "--n", "3")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = {row["rep"]: row for row in json.loads(out)["results"]}
+    assert rows["hyp_unbounded"]["skipped"] is True
+    assert rows["hyp_unbounded"]["note"] == "b^(1/2-n) about 1e+750 is outside float range"
+    code, _, err = run_cli(capsys, *argv, "--rep", "hyp_unbounded")
+    assert code == 2
+    assert err == "error: b^(1/2-n) about 1e+750 is outside float range\n"
+
+
+def test_overflowed_rows_are_not_agreement(capsys):
+    # gf_coefficient and legendre_sec2 overflow to inf; every other row is skipped
+    code, out, _ = run_cli(capsys, "c2", "--a", "1e-150", "--b", "2e-300", "--n", "1",
+                           "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    compared = [row for row in data["results"] if not row["skipped"]]
+    assert [row["rep"] for row in compared] == ["gf_coefficient", "legendre_sec2"]
+    assert all(row["value"] == math.inf for row in compared)
+    assert data["max_pairwise_rel_diff"] == math.inf
+
+
 REGISTRY_POINTS = {
     "c2": ("--a", "2", "--b", "25/4", "--n", "3"),
     "functional": ("--a", "1", "--b", "1/2", "--p", "1/4", "--n", "3"),
@@ -300,6 +326,21 @@ def test_selftest_mutation_detected_even_near_truth(capsys, monkeypatch):
     monkeypatch.setattr(catalankit.exact, "double_factorial", skewed)
     code, out, _ = run_cli(capsys, "selftest", "--suite", "double_factorial")
     assert code == 1
+
+
+def test_selftest_shows_twenty_failures_then_a_count(capsys, monkeypatch):
+    # S(n, k) = 0 misses every nonzero surjection count (37 for n, k < 9)
+    # and every diagonal orthogonality sum (9): 46 failures in all
+    monkeypatch.setattr(catalankit.exact, "stirling_second", lambda n, k: 0)
+    code, out, _ = run_cli(capsys, "selftest", "--suite", "stirling")
+    assert code == 1
+    shown = [(n, k) for n in range(9) for k in range(n + 1) if k or not n][:20]
+    assert out.splitlines() == [
+        "stirling: FAIL",
+        *(f"  S({n},{k}) fails the surjection count" for n, k in shown),
+        "  ... 26 more",
+        "0/1 suites passed",
+    ]
 
 
 def test_help_exits_zero(capsys):

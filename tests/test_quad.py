@@ -8,6 +8,7 @@ import pytest
 from catalankit.quad import (
     HalflineIntegrand,
     QuadratureError,
+    beta_cases,
     beta_halfline,
     euler_integral_2f1_check,
     integrate_halfline,
@@ -49,6 +50,18 @@ def test_randomized_beta_calibration():
         res = integrate_halfline(_beta_integrand(s, r, b), tol=1e-10)
         worst = max(worst, abs(res.value - beta_halfline(s, r, b)) / beta_halfline(s, r, b))
     assert worst <= 1e-9  # 10x the requested tolerance
+
+
+def test_shared_beta_draw_matches_an_independent_draw():
+    rng = random.Random(11)
+    cases = list(beta_cases(6, 11))
+    assert len(cases) == 6
+    for (s, r, b), integrand, truth in cases:
+        want_s = rng.uniform(0.2, 3.0)
+        assert (s, r, b) == (want_s, want_s + rng.uniform(0.3, 5.0), rng.uniform(0.25, 4.0))
+        assert truth == beta_halfline(s, r, b)
+        assert integrand.f(1.5) == 1.5 ** (s - 1.0) * (b + 1.5) ** (-r)
+        assert (integrand.endpoint_exponent, integrand.decay_exponent) == (s - 1.0, r - s + 1.0)
 
 
 def test_known_arctan_integral():
