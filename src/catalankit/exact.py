@@ -297,6 +297,9 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its coefficient, so it hashes like it
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def __repr__(self):
@@ -330,15 +333,81 @@ def _poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     return Polynomial(q), Polynomial(rem)
 
 
+def _primitive(cs: list[int]) -> list[int]:
+    """cs divided by the gcd of its entries (its content)."""
+    g = 0
+    for c in cs:
+        g = math.gcd(g, c)
+        if g == 1:
+            return cs
+    return [c // g for c in cs] if g > 1 else cs
+
+
+def _integer_primitive(p: Polynomial) -> list[int]:
+    """Primitive integer coefficients of a positive rational multiple of p."""
+    d = 1
+    for c in p.coeffs:
+        d = math.lcm(d, c.denominator)
+    return _primitive([c.numerator * (d // c.denominator) for c in p.coeffs])
+
+
+def _primitive_prem(u: list[int], v: list[int]) -> list[int]:
+    """Primitive part of a pseudo-remainder of u by v, len(u) >= len(v) >= 2.
+
+    Each step cancels the leading term of r by r := m r - c x^shift v with
+    m, c the cofactors of gcd(lead(v), lead(r)), then divides r by its
+    content, so coefficient growth does not compound from step to step.
+    """
+    dv, lead = len(v) - 1, v[-1]
+    r = list(u)
+    while len(r) > dv:
+        top = r.pop()
+        g = math.gcd(lead, top)
+        m, c = lead // g, top // g
+        if m != 1:
+            r = [m * x for x in r]
+        shift = len(r) - dv
+        for i in range(dv):
+            r[shift + i] -= c * v[i]
+        while r and r[-1] == 0:
+            r.pop()
+        r = _primitive(r)
+    return r
+
+
 def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero():
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return a.monic()
+    """Monic gcd of a and b; zero only when both are zero.
+
+    Runs the primitive polynomial remainder sequence on integer
+    coefficients (Knuth, TAOCP Vol. 2, 4.6.1): clear each operand's
+    denominators, take primitive parts, and replace (u, v) by
+    (v, primitive pseudo-remainder of u by v) until the remainder is zero
+    or a constant. Every remainder is a nonzero rational multiple of the
+    one Euclid's algorithm over Q would produce, so the last nonzero one
+    divided by its leading coefficient is the same monic gcd.
+    """
+    if a.is_zero() or b.is_zero():
+        return (b if a.is_zero() else a).monic()
+    u, v = _integer_primitive(a), _integer_primitive(b)
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1:
+        r = _primitive_prem(u, v)
+        if not r:
+            break
+        u, v = v, r
+    return Polynomial(v).monic() if len(v) > 1 else Polynomial([1])
 
 
 class RationalFunction:
-    """Quotient of two Polynomials, stored reduced with a monic denominator."""
+    """Quotient of two Polynomials, stored reduced with a monic denominator.
+
+    The constructor divides num and den by their monic gcd (``_poly_gcd``,
+    an integer primitive remainder sequence) and then scales both so that
+    den is monic. The monic gcd is unique, so the stored (num, den) is the
+    unique normal form whichever gcd algorithm computed it; two equal
+    rational functions have equal fields.
+    """
 
     __slots__ = ("num", "den")
 
@@ -396,10 +465,15 @@ class RationalFunction:
         return self.num(x) / d
 
     def __eq__(self, other):
+        if not isinstance(other, (int, Fraction, Polynomial, RationalFunction)):
+            return NotImplemented
         other = _as_ratfun(other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a polynomial (den == 1) equals its numerator, so it hashes like it
+        if self.den.degree == 0:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):

@@ -279,6 +279,18 @@ def test_q_defaults_p_half(capsys):
     assert Fraction(stirling["value"]) == Fraction(1, 8)
 
 
+def test_q_all_agrees_exactly_at_n_30(capsys):
+    # the recurrence row used to hang from n = 28 on
+    code, out, _ = run_cli(capsys, "q", "--n", "30", "--y", "1/2", "--p", "1/3",
+                           "--rep", "all", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["max_pairwise_rel_diff"] == 0
+    exact = {r["rep"]: Fraction(r["value"]) for r in data["results"]
+             if r["rep"] in ("stirling", "polylog", "recurrence")}
+    assert len(exact) == 3 and len(set(exact.values())) == 1
+
+
 def test_errata_confirms_findings(capsys):
     code, out, _ = run_cli(capsys, "errata")
     assert code == 0

@@ -11,6 +11,10 @@ import catalankit.exact
 from catalankit.exact import (
     Polynomial,
     RationalFunction,
+    _integer_primitive,
+    _poly_divmod,
+    _poly_gcd,
+    _primitive_prem,
     catalan,
     catalan_formulas,
     catalan_stream,
@@ -133,6 +137,114 @@ def test_rational_function_derivative():
     r = RationalFunction(1, Polynomial([1, -1]))
     d = r.derivative()
     assert d == RationalFunction(1, Polynomial([1, -1]) * Polynomial([1, -1]))
+
+
+def _euclid_gcd(a, b):
+    """Oracle: Euclid's algorithm over Fraction coefficients, made monic."""
+    while not b.is_zero():
+        a, b = b, _poly_divmod(a, b)[1]
+    return a.monic()
+
+
+def _content(cs):
+    g = 0
+    for c in cs:
+        g = math.gcd(g, c)
+    return g
+
+
+_coeff = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+_poly = st.lists(_coeff, max_size=5).map(Polynomial)
+_nonzero_poly = _poly.filter(lambda p: not p.is_zero())
+
+
+def _power(p, k):
+    out = Polynomial([1])
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+# planted common factors: (1+y)^k, (1-y)^k, random linear and quadratic
+_factor = st.one_of(
+    st.integers(1, 4).map(lambda k: _power(Polynomial([1, 1]), k)),
+    st.integers(1, 4).map(lambda k: _power(Polynomial([1, -1]), k)),
+    st.lists(_coeff, min_size=2, max_size=3).map(Polynomial),
+).filter(lambda p: p.degree >= 1)
+_int_poly = st.lists(st.integers(-30, 30), min_size=2, max_size=7).filter(lambda cs: cs[-1])
+
+
+@given(_poly, _poly, st.lists(_factor, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_poly_gcd_matches_fraction_euclid(f, g, factors):
+    for h in factors:
+        f, g = f * h, g * h
+    want = _euclid_gcd(f, g)
+    assert _poly_gcd(f, g) == want
+    assert _poly_gcd(g, f) == want
+    assert want.is_zero() or want.coeffs[-1] == 1
+
+
+def test_poly_gcd_constants_and_zero():
+    x1 = Polynomial([1, 1])
+    assert _poly_gcd(Polynomial([Fraction(3, 4)]), x1 * x1) == Polynomial([1])
+    assert _poly_gcd(Polynomial(), Polynomial([0, 2, 2])) == Polynomial([0, 1, 1])
+    assert _poly_gcd(Polynomial([0, 2, 2]), Polynomial()) == Polynomial([0, 1, 1])
+    assert _poly_gcd(Polynomial(), Polynomial()).is_zero()
+
+
+@given(_nonzero_poly)
+def test_integer_primitive_is_a_positive_primitive_multiple(p):
+    cs = _integer_primitive(p)
+    assert all(isinstance(c, int) for c in cs)
+    assert _content(cs) == 1
+    ratio = Fraction(cs[-1]) / p.coeffs[-1]
+    assert ratio > 0 and Polynomial(cs) == p * ratio
+
+
+@given(_int_poly, _int_poly)
+@settings(deadline=None)
+def test_primitive_prem_is_primitive_remainder(u, v):
+    if len(u) < len(v):
+        u, v = v, u
+    r = _primitive_prem(u, v)
+    rem = _poly_divmod(Polynomial(u), Polynomial(v))[1]
+    assert r == [] or _content(r) == 1
+    assert Polynomial(r).monic() == rem.monic()
+
+
+@given(_poly, _nonzero_poly, st.lists(_factor, min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_rational_function_cancels_common_factors(f, g, factors):
+    h = Polynomial([1])
+    for k in factors:
+        h = h * k
+    r = RationalFunction(f * h, g * h)
+    assert r == RationalFunction(f, g)
+    assert r.den.coeffs[-1] == 1
+    if f.is_zero():
+        assert r.num.is_zero() and r.den == 1
+    else:
+        assert _euclid_gcd(r.num, r.den) == Polynomial([1])
+
+
+def test_equality_with_foreign_types_is_false():
+    r = RationalFunction(3)
+    assert not r == "x"
+    assert r != "x"
+    assert not r == None  # noqa: E711
+    assert r != None  # noqa: E711
+
+
+def test_equal_constants_hash_equal():
+    assert Polynomial([3]) == 3 and RationalFunction(3) == Polynomial([3])
+    assert len({RationalFunction(3), Polynomial([3]), 3}) == 1
+    assert hash(Polynomial()) == hash(0) == hash(RationalFunction(0))
+    line = Polynomial([1, Fraction(1, 2)])
+    assert RationalFunction(line) == line and hash(RationalFunction(line)) == hash(line)
 
 
 @pytest.mark.parametrize("n", range(9))

@@ -126,6 +126,21 @@ def test_closed_forms_agree_exactly(n):
                 assert q_polylog(n, y, p) == stirling
 
 
+@pytest.mark.parametrize("n", [16, 30])
+@pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(2, 5)])
+def test_closed_forms_agree_exactly_at_large_n(n, p):
+    # n = 30 lies in the range where the recurrence route once hung. It is
+    # built once per (n, p); q_recurrence_value rebuilds it per call, so
+    # it is checked at one y only.
+    recurrence = q_rational_recurrence(n, p)
+    assert q_recurrence_value(n, Fraction(1, 2), p) == recurrence(Fraction(1, 2))
+    for y in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5, 3)):
+        stirling = q_stirling(n, y, p)
+        assert isinstance(stirling, Fraction)
+        assert recurrence(y) == stirling
+        assert q_polylog(n, y, p) == stirling
+
+
 def test_known_spot_values():
     assert q_stirling(0, Fraction(1), Fraction(1, 2)) == Fraction(1, 2)
     assert q_stirling(1, Fraction(1), Fraction(1, 2)) == Fraction(1, 8)
