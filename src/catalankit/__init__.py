@@ -51,7 +51,6 @@ from .functional import (
 )
 from .hyper import (
     HypConvergenceError,
-    HypTermination,
     HypergeometricError,
     assoc_legendre_p,
     gauss_2f1,
@@ -113,7 +112,6 @@ __all__ = [
     "cf_series_detailed",
     "cf_via_q",
     "HypConvergenceError",
-    "HypTermination",
     "HypergeometricError",
     "assoc_legendre_p",
     "gauss_2f1",

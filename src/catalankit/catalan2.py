@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .exact import _check_n, _is_exact, _to_float, catalan, double_factorial, exact_sqrt
+from .exact import _check_n, _exact_or_float, _is_exact, catalan, double_factorial, exact_sqrt
 from .hyper import assoc_legendre_p, gauss_2f1, jacobi_p
 from .quad import HalflineIntegrand, QuadResult, integrate_halfline
 from .series import gf_catalan2
@@ -61,20 +61,29 @@ class LegendreVariant(enum.Enum):
 def _check_domain(a, b, n: int) -> None:
     _check_n(n)
     if not a >= 0:
-        raise ValueError(f"a must be >= 0, got {a!r}")
+        raise ValueError(f"a must be >= 0, got {a}")
     if not b > 0:
-        raise ValueError(f"b must be > 0, got {b!r}")
+        raise ValueError(f"b must be > 0, got {b}")
 
 
 def _sqrt_b(b):
-    """(sqrt(b), is_exact); Fraction root when one exists, else float."""
+    """sqrt(b): a Fraction when b has a rational root, else a float."""
     root = exact_sqrt(Fraction(b))
-    if root is not None:
-        return root, True
-    return math.sqrt(b), False
+    return math.sqrt(b) if root is None else root
+
+
+def _float_pow(base, exponent, name: str):
+    """base ** exponent, with a ValueError naming the power when a float
+    result is beyond the float range (float ** raises OverflowError)."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        exp10 = exponent * math.log10(base)
+        raise ValueError(f"{name} about 1e{exp10:+.0f} is outside float range") from None
 
 
 def _norm_factor(norm: Normalization):
+    """1 or pi; pi is a float, so a printed-scale value is rounded."""
     return math.pi if norm is Normalization.PRINTED_PI else 1
 
 
@@ -87,13 +96,13 @@ def c2_double_factorial_sum(a, b, n: int):
     1/(a+sqrt(b)). Generating-function normalization by construction.
     """
     _check_domain(a, b, n)
-    root, root_exact = _sqrt_b(b)
+    root = _sqrt_b(b)
     weights = []
     for k in range(n + 1):
         top, bot = 2 * n - k - 1, 2 * (n - k)
         weight = (1 if bot == 0 else 0) if top < 0 else comb(top, bot)
         weights.append(weight * factorial(k) * double_factorial(2 * (n - k) - 1))
-    if root_exact:
+    if _is_exact(root):
         # With base = B_n/B_d, term k is weight B_d^(k+1) B_n^(n-k) over
         # the common denominator B_n^(n+1); Horner in B_n sums it.
         base = 1 + Fraction(a) / root
@@ -104,13 +113,13 @@ def c2_double_factorial_sum(a, b, n: int):
             bd_power *= bd
         scale = double_factorial(2 * n) * Fraction(b) ** n * root
         value = Fraction(total * scale.denominator, bn ** (n + 1) * scale.numerator)
-        return value if _is_exact(a, b) else _to_float(value)
+        return _exact_or_float(value, a, b)
     base = 1.0 + float(a) / root
     scale = double_factorial(2 * n) * float(b) ** n * root
     total = 0.0
     for k, weight in enumerate(weights):
         if weight:
-            total += weight / base ** (k + 1)
+            total += weight / _float_pow(base, k + 1, "(1+a/sqrt(b))^(k+1)")
     return float(total / scale)
 
 
@@ -123,7 +132,7 @@ def c2_quadrature(a, b, n: int, tol: float = 1e-10) -> QuadResult:
     _check_domain(a, b, n)
     if not a > 0:
         raise ValueError("c2_quadrature needs a > 0")
-    a2, bf, power = float(a) ** 2, float(b), n + 1
+    a2, bf, power = _float_pow(float(a), 2, "a^2"), float(b), n + 1
 
     def f(t: float) -> float:
         return math.sqrt(t) / ((a2 + t) * (bf + t) ** power)
@@ -144,14 +153,12 @@ def c2_hyp_closed(a, b, n: int, norm: Normalization = Normalization.GENERATING_F
     and the 2F1 is 1, extending the published n >= 1 range.
     """
     _check_domain(a, b, n)
-    root, root_exact = _sqrt_b(b)
-    aa = Fraction(a) if root_exact else float(a)
+    root = _sqrt_b(b)
+    aa = Fraction(a) if _is_exact(root) else float(a)
     z = (root - aa) / (2 * root)
-    pref = catalan(n) / ((2 * root) ** n * (aa + root) ** (n + 1))
-    value = pref * gauss_2f1(1 - n, n, n + 2, z)
-    if root_exact and _is_exact(a, b) and norm is Normalization.GENERATING_FUNCTION:
-        return value
-    return _to_float(value) * _norm_factor(norm)
+    pref = catalan(n) / ((2 * root) ** n * _float_pow(aa + root, n + 1, "(a+sqrt(b))^(n+1)"))
+    k = _norm_factor(norm)
+    return _exact_or_float(pref * gauss_2f1(1 - n, n, n + 2, z), a, b, k) * k
 
 
 def c2_hyp_unbounded(
@@ -166,17 +173,12 @@ def c2_hyp_unbounded(
     _check_domain(a, b, n)
     if not a > 0:
         raise ValueError("c2_hyp_unbounded needs a > 0")
-    af, bf = float(a), float(b)
-    z = 1.0 - bf / af**2
+    a2, bf = _float_pow(float(a), 2, "a^2"), float(b)
+    z = 1.0 - bf / a2
     if not abs(z) < 1:
         raise ValueError(f"c2_hyp_unbounded needs |1 - b/a^2| < 1, got {z!r}")
-    try:
-        b_power = bf ** (0.5 - n)
-    except OverflowError:
-        exp10 = (0.5 - n) * math.log10(bf)
-        raise ValueError(f"b^(1/2-n) about 1e{exp10:+.0f} is outside float range") from None
-    pref = catalan(n) / 2 ** (2 * n + 1) * b_power / af**2
-    return float(pref * gauss_2f1(1.0, 1.5, n + 2, z) * _norm_factor(norm))
+    pref = catalan(n) / 2 ** (2 * n + 1) * _float_pow(bf, 0.5 - n, "b^(1/2-n)") / a2
+    return pref * gauss_2f1(1.0, 1.5, n + 2, z) * _norm_factor(norm)
 
 
 def c2_jacobi(a, b, n: int, norm: Normalization = Normalization.GENERATING_FUNCTION):
@@ -188,13 +190,11 @@ def c2_jacobi(a, b, n: int, norm: Normalization = Normalization.GENERATING_FUNCT
     _check_domain(a, b, n)
     if n < 1:
         raise ValueError("c2_jacobi needs n >= 1")
-    root, root_exact = _sqrt_b(b)
-    aa = Fraction(a) if root_exact else float(a)
-    pref = 1 / (n * (2 * root) ** n * (aa + root) ** (n + 1))
-    value = pref * jacobi_p(n - 1, n + 1, -n - 1, aa / root)
-    if root_exact and _is_exact(a, b) and norm is Normalization.GENERATING_FUNCTION:
-        return value
-    return _to_float(value) * _norm_factor(norm)
+    root = _sqrt_b(b)
+    aa = Fraction(a) if _is_exact(root) else float(a)
+    pref = 1 / (n * (2 * root) ** n * _float_pow(aa + root, n + 1, "(a+sqrt(b))^(n+1)"))
+    k = _norm_factor(norm)
+    return _exact_or_float(pref * jacobi_p(n - 1, n + 1, -n - 1, aa / root), a, b, k) * k
 
 
 def c2_legendre(
@@ -245,7 +245,7 @@ def c2_gf_coefficient(a, b, n: int):
     """
     _check_domain(a, b, n)
     value = gf_catalan2(a, b, n + 1).coefficient(n)
-    return value if _is_exact(a, b) and isinstance(value, Fraction) else _to_float(value)
+    return _exact_or_float(value, a, b)
 
 
 # Published value table for n = 0..5: numerator terms (coeff, a_power,

@@ -29,8 +29,7 @@ import sys
 from collections.abc import Iterator
 from fractions import Fraction
 
-from . import exact
-from .exact import _is_exact
+from . import catalan2, exact, functional
 from .catalan2 import (
     _TABLE_GRID,
     LegendreVariant,
@@ -133,10 +132,8 @@ def _quad_tol(compare_tol: float) -> float:
 def cmd_catalan(args) -> int:
     forms = exact.catalan_formulas(args.n)
     recurrence = exact.catalan_stream(args.n + 1)[-1]
-    rows = [
-        RepRow(rep=name, value=value, exact=True) for name, value in forms.items()
-    ]
-    rows.append(RepRow(rep="recurrence", value=recurrence, exact=True))
+    rows = [RepRow(rep=name, value=value) for name, value in forms.items()]
+    rows.append(RepRow(rep="recurrence", value=recurrence))
     agreed = len({row.value for row in rows}) == 1
     notes = () if agreed else ("formula values disagree",)
     report = CompareReport(
@@ -157,20 +154,15 @@ def cmd_catalan(args) -> int:
 # its body, so the route is looked up in this module at call time.
 
 
-def _exact(value) -> dict:
-    return dict(value=value, exact=_is_exact(value))
-
-
 def _quad(result) -> dict:
     return dict(value=result.value, err=result.abs_err_est, terms=result.evaluations)
 
 
-def _closed(x, value, exact: bool = False) -> dict:
+def _closed(x, value) -> dict:
     """A c2 closed form: reported but not compared at the printed scale."""
     printed = x.norm is Normalization.PRINTED_PI
     note = "printed normalization (x pi)" if printed else ""
-    return dict(value=value, exact=exact and _is_exact(value), note=note,
-                compare=not printed)
+    return dict(value=value, note=note, compare=not printed)
 
 
 def _series(ev) -> dict:
@@ -179,11 +171,11 @@ def _series(ev) -> dict:
 
 
 C2_REPS = {
-    "double_factorial": lambda x: _exact(c2_double_factorial_sum(x.a, x.b, x.n)),
-    "hyp_closed": lambda x: _closed(x, c2_hyp_closed(x.a, x.b, x.n, x.norm), True),
-    "jacobi": lambda x: _closed(x, c2_jacobi(x.a, x.b, x.n, x.norm), True),
+    "double_factorial": lambda x: dict(value=c2_double_factorial_sum(x.a, x.b, x.n)),
+    "hyp_closed": lambda x: _closed(x, c2_hyp_closed(x.a, x.b, x.n, x.norm)),
+    "jacobi": lambda x: _closed(x, c2_jacobi(x.a, x.b, x.n, x.norm)),
     "quadrature": lambda x: _quad(c2_quadrature(x.a, x.b, x.n, tol=x.quad_tol)),
-    "gf_coefficient": lambda x: _exact(c2_gf_coefficient(x.a, x.b, x.n)),
+    "gf_coefficient": lambda x: dict(value=c2_gf_coefficient(x.a, x.b, x.n)),
     "hyp_unbounded": lambda x: _closed(x, c2_hyp_unbounded(x.a, x.b, x.n, x.norm)),
     "legendre_sec2": lambda x: _closed(
         x, c2_legendre(x.a, x.b, x.n, LegendreVariant.SEC2, x.norm)
@@ -196,10 +188,10 @@ C2_REPS = {
 }
 
 FUNCTIONAL_REPS = {
-    "double_sum": lambda x: _exact(cf_double_sum(x.a, x.b, x.p, x.n)),
+    "double_sum": lambda x: dict(value=cf_double_sum(x.a, x.b, x.p, x.n)),
     "series": lambda x: _series(cf_series_detailed(x.a, x.b, x.p, x.n)),
     "quadrature": lambda x: _quad(cf_quadrature(x.a, x.b, x.p, x.n, tol=x.quad_tol)),
-    "via_q": lambda x: _exact(cf_via_q(x.a, x.b, x.p, x.n)),
+    "via_q": lambda x: dict(value=cf_via_q(x.a, x.b, x.p, x.n)),
 }
 
 
@@ -210,9 +202,9 @@ def _q_series(x) -> dict:
 
 Q_REPS = {
     "series": _q_series,
-    "stirling": lambda x: _exact(q_stirling(x.n, x.y, x.p)),
-    "polylog": lambda x: _exact(q_polylog(x.n, x.y, x.p)),
-    "recurrence": lambda x: _exact(q_recurrence_value(x.n, x.y, x.p)),
+    "stirling": lambda x: dict(value=q_stirling(x.n, x.y, x.p)),
+    "polylog": lambda x: dict(value=q_polylog(x.n, x.y, x.p)),
+    "recurrence": lambda x: dict(value=q_recurrence_value(x.n, x.y, x.p)),
     "hyp": lambda x: dict(
         value=q_hyp(x.n, x.y, x.p),
         note="printed form, excluded from comparison; see the errata command",
@@ -223,18 +215,14 @@ Q_REPS = {
 # Accepted by --rep, left out of `all`.
 ON_REQUEST = frozenset({"legendre_eq0b"})
 
-# Per command: the inputs echoed, in order, and its representation table.
+# Per command: the inputs echoed, in order, its representation table and
+# the library's domain check for the inputs every representation shares.
 _QUANTITIES = {
-    "c2": (("a", "b", "n", "rep", "normalization", "tol"), C2_REPS),
-    "functional": (("a", "b", "p", "n", "rep", "tol"), FUNCTIONAL_REPS),
-    "q": (("n", "y", "p", "rep", "tol"), Q_REPS),
-}
-
-# Input domains shared by every quantity that takes the input.
-_GUARDS = {
-    "a": (lambda v: v >= 0, "a must be >= 0"),
-    "b": (lambda v: v > 0, "b must be > 0"),
-    "p": (lambda v: 0 < v < 1, "p must lie in (0, 1)"),
+    "c2": (("a", "b", "n", "rep", "normalization", "tol"), C2_REPS,
+           lambda x: catalan2._check_domain(x.a, x.b, x.n)),
+    "functional": (("a", "b", "p", "n", "rep", "tol"), FUNCTIONAL_REPS,
+                   lambda x: functional._check_domain(x.a, x.b, x.p, x.n)),
+    "q": (("n", "y", "p", "rep", "tol"), Q_REPS, lambda x: exact._check_p(x.p)),
 }
 
 _PAPER_NOTE = (
@@ -246,11 +234,11 @@ _PAPER_NOTE = (
 
 def cmd_compare(args) -> int:
     """Evaluate one quantity by the representations `--rep` selects."""
-    echo, reps = _QUANTITIES[args.command]
-    for name in echo:
-        value = getattr(args, name)
-        if name in _GUARDS and not _GUARDS[name][0](value):
-            return _invalid(f"{_GUARDS[name][1]}, got {format_scalar(value)}")
+    echo, reps, check_domain = _QUANTITIES[args.command]
+    try:
+        check_domain(args)
+    except ValueError as exc:
+        return _invalid(str(exc))
     inputs = tuple((name, getattr(args, name)) for name in echo)
     norm = Normalization(getattr(args, "normalization", "gf"))
     x = argparse.Namespace(**vars(args), norm=norm, quad_tol=_quad_tol(args.tol))
@@ -271,7 +259,7 @@ def cmd_compare(args) -> int:
         try:
             rows.append(RepRow(rep, **build(x)))
         except (ValueError, ZeroDivisionError, QuadratureError) as exc:
-            rows.append(RepRow(rep, skipped=True, note=str(exc)))
+            rows.append(RepRow(rep, note=str(exc)))
     notes = (_PAPER_NOTE,) if norm is Normalization.PRINTED_PI else ()
     report = CompareReport(args.command, inputs, tuple(rows), notes)
     _emit(report, args.format)

@@ -58,15 +58,23 @@ def _to_float(x) -> float:
         raise ValueError(f"value about 1e{exp10:+.0f} is outside float range") from None
 
 
+def _exact_or_float(value, *inputs):
+    """The package's one exactness policy, for a route's final value:
+    value itself when every input passes _is_exact, else _to_float(value)."""
+    return value if _is_exact(*inputs) else _to_float(value)
+
+
 # The domain rules that every route taking n or p applies, in one place.
+# Values print with str, as the command line echoes them (1/2, not
+# Fraction(1, 2)).
 def _check_n(n) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        raise ValueError(f"n must be a nonnegative integer, got {n}")
 
 
 def _check_p(p) -> None:
     if not 0 < p < 1:
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
+        raise ValueError(f"p must lie in (0, 1), got {p}")
 
 
 def catalan_formulas(n: int) -> dict[str, Fraction]:

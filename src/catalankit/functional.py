@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .catalan2 import _check_domain as _check_c2_domain, c2_hyp_closed
-from .exact import _check_p, _is_exact, exact_pow, rising_factorial
+from .exact import _check_p, _exact_or_float, _is_exact, _to_float, exact_pow, rising_factorial
 from .qfunc import _pochhammer_series, q_series_with_terms, q_stirling
 from .quad import HalflineIntegrand, QuadResult, integrate_halfline
 
@@ -50,19 +50,17 @@ def _check_domain(a, b, p, n: int) -> None:
 
 
 def _b_to_p(b, p):
-    """(b**p, is_exact): Fraction when the power is rational, else float."""
+    """b**p: a Fraction when the power is rational, else a float."""
     power = exact_pow(Fraction(b), Fraction(p))
-    if power is not None:
-        return power, True
-    return float(b) ** float(p), False
+    return float(b) ** float(p) if power is None else power
 
 
 def _series_ratio(a, b, p) -> Fraction:
     """y = b^p/a for the single series: exact when b^p and a are rational,
     else the float quotient taken as a Fraction."""
-    power, power_exact = _b_to_p(b, p)
-    if power_exact and _is_exact(a):
-        return Fraction(power) / Fraction(a)
+    power = _b_to_p(b, p)
+    if _is_exact(power, a):
+        return power / Fraction(a)
     return Fraction(float(power) / float(a))
 
 
@@ -106,7 +104,7 @@ def cf_double_sum(a, b, p, n: int):
     and b^p are all rational.
     """
     _check_domain(a, b, p, n)
-    power, power_exact = _b_to_p(b, p)
+    power = _b_to_p(b, p)
     pf = Fraction(p)
     inner_sums = []
     for k in range(n + 1):
@@ -114,17 +112,16 @@ def cf_double_sum(a, b, p, n: int):
         for m in range(k + 1):
             inner += (-1) ** m * comb(k, m) * rising_factorial(-pf * m, n)
         inner_sums.append(inner)
-    if power_exact:
+    if _is_exact(power):
         af, bf = Fraction(a), Fraction(b)
         weight = 1 / (1 + af / power)
         total = sum(
             (inner * weight**k for k, inner in enumerate(inner_sums)), Fraction(0)
         )
-        value = total / ((af + power) * factorial(n) * bf**n)
-        return value if _is_exact(a, b, p) else float(value)
+        return _exact_or_float(total / ((af + power) * factorial(n) * bf**n), a, b, p)
     af, bf = float(a), float(b)
     weight = 1.0 / (1.0 + af / power)
-    total = math.fsum(float(inner) * weight**k for k, inner in enumerate(inner_sums))
+    total = math.fsum(_to_float(inner) * weight**k for k, inner in enumerate(inner_sums))
     return total / ((af + power) * factorial(n) * bf**n)
 
 
@@ -162,9 +159,9 @@ def cf_series_detailed(
     scale = float(a) * float(b) ** n * factorial(n)
     if y < 1:
         total, terms = q_series_with_terms(n, y, pf, tol=tol, max_terms=max_terms)
-        return SeriesEvaluation(total / scale, "ascending", float(y), terms)
+        return SeriesEvaluation(total / scale, "ascending", _to_float(y), terms)
     total, terms = _pochhammer_series(n, 1 / y, pf, tol, max_terms, descending=True)
-    return SeriesEvaluation(-float(total) / scale, "descending", float(y), terms)
+    return SeriesEvaluation(-_to_float(total) / scale, "descending", _to_float(y), terms)
 
 
 def cf_series(a, b, p, n: int, tol: float = 1e-15, max_terms: int = 100_000) -> float:
@@ -195,7 +192,7 @@ def cf_series_as_printed(
     total, _ = _pochhammer_series(n, 1 / y, pf, tol, max_terms, descending=True)
     if n == 0:
         total += 1  # the printed k = 0 term, (p*0)_0 = 1
-    return -float(total) / scale
+    return -_to_float(total) / scale
 
 
 def cf_via_q(a, b, p, n: int):
@@ -209,18 +206,18 @@ def cf_via_q(a, b, p, n: int):
     _check_domain(a, b, p, n)
     if not a > 0:
         raise ValueError("cf_via_q needs a > 0")
-    power, power_exact = _b_to_p(b, p)
-    if power_exact:
-        y = Fraction(power) / Fraction(a)
+    power = _b_to_p(b, p)
+    if _is_exact(power):
+        y = power / Fraction(a)
         if y > 1:
-            raise ValueError(f"cf_via_q needs b^p <= a, got y = {float(y)!r}")
+            raise ValueError(f"cf_via_q needs b^p <= a, got y = {_to_float(y)!r}")
         value = q_stirling(n, y, Fraction(p)) / (Fraction(a) * Fraction(b) ** n * factorial(n))
-        return value if _is_exact(a, b, p) else float(value)
+        return _exact_or_float(value, a, b, p)
     y = float(power) / float(a)
     if y > 1:
         raise ValueError(f"cf_via_q needs b^p <= a, got y = {y!r}")
     value = q_stirling(n, Fraction(y), Fraction(p))
-    return float(value) / (float(a) * float(b) ** n * factorial(n))
+    return _to_float(value) / (float(a) * float(b) ** n * factorial(n))
 
 
 def cf_half_reduction_check(a, b, n: int, tol: float = 1e-10) -> bool:
@@ -234,5 +231,5 @@ def cf_half_reduction_check(a, b, n: int, tol: float = 1e-10) -> bool:
     rhs = c2_hyp_closed(a, b, n)
     if _is_exact(lhs, rhs):
         return lhs == rhs
-    lhs, rhs = float(lhs), float(rhs)
+    lhs, rhs = _to_float(lhs), _to_float(rhs)
     return abs(lhs - rhs) <= tol * abs(rhs)

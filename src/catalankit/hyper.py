@@ -1,15 +1,16 @@
 """Hypergeometric series evaluation.
 
-Two evaluation regimes, selected by :class:`HypTermination`:
+The parameters choose one of two regimes:
 
-* terminating: a nonpositive-integer upper parameter cuts the series off
-  at a known index; the finite sum is then carried out exactly, as
-  integer numerators over one running integer denominator, and rounded
-  once at the end, so terminating evaluations are immune to cancellation
-  between large alternating terms.
-* convergent: floating-point summation for |z| < 1, stopping once the
-  current term is below tol relative to the partial sum for three
-  consecutive terms.
+* terminating: an upper parameter -m that is a nonpositive integer cuts
+  the series off after index m (the smallest such m wins); the finite
+  sum is then carried out exactly, as integer numerators over one
+  running integer denominator, and rounded once at the end, so
+  terminating evaluations are immune to cancellation between large
+  alternating terms.
+* convergent: otherwise, floating-point summation for |z| < 1, stopping
+  once the current term is below tol relative to the partial sum for
+  three consecutive terms.
 
 Also provides the Jacobi polynomial and the Ferrers associated Legendre
 function on (0, 1), both routed through the Gauss series so that every
@@ -19,14 +20,12 @@ special-function value in the package shares one audited code path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .exact import _is_exact, rising_factorial
+from .exact import _exact_or_float, rising_factorial
 
 __all__ = [
-    "HypTermination",
     "HypergeometricError",
     "HypConvergenceError",
     "gauss_2f1",
@@ -44,35 +43,6 @@ class HypConvergenceError(RuntimeError):
     """Convergent-mode summation did not settle within max_terms."""
 
 
-@dataclass(frozen=True)
-class HypTermination:
-    """How a hypergeometric sum is to be ended.
-
-    ``k_max`` set: terminating series, summed exactly through index k_max.
-    ``k_max`` None: convergent series controlled by ``tol``/``max_terms``.
-    """
-
-    k_max: int | None = None
-    tol: float = 1e-15
-    max_terms: int = 100_000
-
-    def __post_init__(self):
-        if self.k_max is not None and self.k_max < 0:
-            raise ValueError("HypTermination: k_max must be >= 0")
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError("HypTermination: tol must be in (0, 1)")
-        if self.max_terms < 1:
-            raise ValueError("HypTermination: max_terms must be >= 1")
-
-    @classmethod
-    def terminating(cls, k_max: int) -> HypTermination:
-        return cls(k_max=k_max)
-
-    @classmethod
-    def convergent(cls, tol: float = 1e-15, max_terms: int = 100_000) -> HypTermination:
-        return cls(tol=tol, max_terms=max_terms)
-
-
 def _nonpositive_int(x) -> int | None:
     """-x when x is a nonpositive integer-valued number, else None."""
     if isinstance(x, int):
@@ -84,17 +54,12 @@ def _nonpositive_int(x) -> int | None:
     return None
 
 
-def _auto_termination(upper) -> HypTermination:
-    cuts = [k for k in (_nonpositive_int(u) for u in upper) if k is not None]
-    return HypTermination.terminating(min(cuts)) if cuts else HypTermination.convergent()
-
-
 def _sum_terminating(upper, lower, z, k_max: int) -> Fraction:
     """Exact rational sum of the series through index k_max.
 
     Float inputs are converted to the dyadic rationals they already are,
     so the only rounding in a terminating evaluation is the caller's
-    final float() conversion. With upper u_i = un_i/ud_i, lower
+    final one. With upper u_i = un_i/ud_i, lower
     v_j = vn_j/vd_j and z = zn/zd as integer pairs, term k+1 over term k
     is P_k/Q_k with integers P_k = prod_i (un_i + k ud_i) * zn * prod_j vd_j
     and Q_k = (k+1) prod_j (vn_j + k vd_j) * zd * prod_i ud_i. The term
@@ -150,8 +115,6 @@ def _sum_convergent(upper, lower, z, tol: float, max_terms: int) -> float:
         num = 1.0
         for u in up:
             num *= u + k
-        if num == 0.0:
-            return total
         den = k + 1.0
         for v in lo:
             if v + k == 0.0:
@@ -163,26 +126,25 @@ def _sum_convergent(upper, lower, z, tol: float, max_terms: int) -> float:
     raise HypConvergenceError(f"series not settled after {max_terms} terms")
 
 
-def pfq_series(upper, lower, z, term: HypTermination | None = None):
+def pfq_series(upper, lower, z, tol: float = 1e-15, max_terms: int = 100_000):
     """Generalized hypergeometric sum pFq(upper; lower; z).
 
-    Terminating evaluations return a Fraction when every input is an int
-    or Fraction and a float otherwise; convergent evaluations return a
-    float. ``term=None`` picks terminating mode automatically when an
-    upper parameter is a nonpositive integer.
+    When an upper parameter is a nonpositive integer -m the series stops
+    after index m and is summed exactly: a Fraction when every input is
+    an int or a Fraction, else a float. Any other series is summed in
+    floats under ``tol`` and ``max_terms`` and returns a float.
     """
     upper, lower = tuple(upper), tuple(lower)
-    if term is None:
-        term = _auto_termination(upper)
-    if term.k_max is not None:
-        total = _sum_terminating(upper, lower, z, term.k_max)
-        return total if _is_exact(*upper, *lower, z) else float(total)
-    return _sum_convergent(upper, lower, z, term.tol, term.max_terms)
+    cuts = [k for k in map(_nonpositive_int, upper) if k is not None]
+    if cuts:
+        total = _sum_terminating(upper, lower, z, min(cuts))
+        return _exact_or_float(total, *upper, *lower, z)
+    return _sum_convergent(upper, lower, z, tol, max_terms)
 
 
-def gauss_2f1(a1, a2, c, z, term: HypTermination | None = None):
+def gauss_2f1(a1, a2, c, z):
     """Gauss hypergeometric function 2F1(a1, a2; c; z) by direct summation."""
-    return pfq_series((a1, a2), (c,), z, term)
+    return pfq_series((a1, a2), (c,), z)
 
 
 def jacobi_p(n: int, alpha, beta, x):
@@ -197,8 +159,7 @@ def jacobi_p(n: int, alpha, beta, x):
     a, b, xx = Fraction(alpha), Fraction(beta), Fraction(x)
     lead = rising_factorial(a + 1, n)
     f = _sum_terminating((-n, n + a + b + 1), (a + 1,), (1 - xx) / 2, n)
-    out = lead * f / factorial(n)
-    return out if _is_exact(alpha, beta, x) else float(out)
+    return _exact_or_float(lead * f / factorial(n), alpha, beta, x)
 
 
 def assoc_legendre_p(nu, mu, x) -> float:
@@ -216,4 +177,4 @@ def assoc_legendre_p(nu, mu, x) -> float:
         raise ValueError("assoc_legendre_p: 1 - mu must not be a nonpositive integer")
     f = gauss_2f1(-nu, nu + 1, 1 - mu, (1.0 - x) / 2.0)
     pref = ((1.0 + x) / (1.0 - x)) ** (float(mu) / 2.0) / math.gamma(float(1 - mu))
-    return pref * float(f)
+    return pref * f

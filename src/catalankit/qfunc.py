@@ -37,6 +37,7 @@ from .exact import (
     RationalFunction,
     _check_n,
     _check_p,
+    _exact_or_float,
     _is_exact,
     _to_float,
     falling_factorial,
@@ -46,7 +47,7 @@ from .exact import (
     stirling_first,
     stirling_second,
 )
-from .hyper import HypTermination, pfq_series
+from .hyper import pfq_series
 
 __all__ = [
     "q_series",
@@ -152,7 +153,7 @@ def q_series_with_terms(
     if yf == 0:
         return (1.0 if n == 0 else 0.0), 1
     total, terms = _pochhammer_series(n, yf, pf, tol, max_terms, descending=False)
-    return float(total), terms
+    return _to_float(total), terms
 
 
 def q_series(n: int, y, p, tol: float = 1e-15, max_terms: int = 100_000) -> float:
@@ -180,7 +181,7 @@ def q_stirling(n: int, y, p):
         for k in range(1, n + 1):
             acc += stirling_first(n, k) * (-pf) ** k * geometric_polynomial(k)(u)
         value = Fraction(-1) ** (n + 1) * (yf / (1 + yf)) * acc
-    return value if _is_exact(y, p) else float(value)
+    return _exact_or_float(value, y, p)
 
 
 def q_polylog(n: int, y, p):
@@ -200,8 +201,7 @@ def q_polylog(n: int, y, p):
     acc = Fraction(0)
     for k in range(1, n + 1):
         acc += stirling_first(n, k) * polylog_neg(k)(-yf) * pf**k
-    value = Fraction(-1) ** n * acc
-    return value if _is_exact(y, p) else float(value)
+    return _exact_or_float(Fraction(-1) ** n * acc, y, p)
 
 
 def q_hyp(n: int, y, p, tol: float = 1e-15, max_terms: int = 100_000) -> float:
@@ -226,12 +226,10 @@ def q_hyp(n: int, y, p, tol: float = 1e-15, max_terms: int = 100_000) -> float:
     yf, pf = Fraction(y), Fraction(p)
     upper = tuple(1 - Fraction(m) / pf for m in range(n - 1, 0, -1)) + (Fraction(2),)
     lower = tuple(-Fraction(m) / pf for m in range(n - 1, 0, -1))
-    terminates = any(u <= 0 and u.denominator == 1 for u in upper)
-    term = None if terminates else HypTermination.convergent(tol, max_terms)
-    f = pfq_series(upper, lower, -yf, term)
+    f = pfq_series(upper, lower, -yf, tol, max_terms)
     pref = Fraction(-1) ** (n - 1) * pf * factorial(n - 1) / yf ** (2 * n)
     # f is an exact Fraction when the series terminates, else a float
-    return _to_float(pref * f) if terminates else _to_float(pref) * f
+    return _to_float(pref * f) if _is_exact(f) else _to_float(pref) * f
 
 
 def q_rational(n: int, p) -> RationalFunction:
@@ -269,8 +267,7 @@ def q_recurrence_value(n: int, y, p):
     """Evaluate the recurrence-generated Q at the point (y, p)."""
     if not y >= 0:
         raise ValueError(f"q_recurrence_value needs y >= 0, got {y!r}")
-    value = q_rational_recurrence(n, Fraction(p))(Fraction(y))
-    return value if _is_exact(y, p) else float(value)
+    return _exact_or_float(q_rational_recurrence(n, Fraction(p))(Fraction(y)), y, p)
 
 
 def q_recurrence_check(n: int, y, p) -> bool:

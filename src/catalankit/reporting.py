@@ -55,19 +55,25 @@ class RepRow:
     """One representation's outcome inside a report.
 
     ``terms`` counts series terms or integrand evaluations, whichever
-    applies. ``skipped`` marks a domain violation (the reason goes in
+    applies. A row without a value is skipped (the reason goes in
     ``note``); ``compare=False`` keeps a row out of the pairwise
     difference, for values that are reported but not asserted.
     """
 
     rep: str
-    value: object = None  # Fraction | float | None
+    value: object = None  # int | Fraction | float | None
     err: float | None = None
-    exact: bool = False
     terms: int | None = None
     note: str = ""
-    skipped: bool = False
     compare: bool = True
+
+    @property
+    def exact(self) -> bool:
+        return _is_exact(self.value)
+
+    @property
+    def skipped(self) -> bool:
+        return self.value is None
 
 
 def max_pairwise_rel_diff(values) -> float | None:

@@ -208,6 +208,66 @@ def test_overflowed_rows_are_not_agreement(capsys):
     assert data["max_pairwise_rel_diff"] == math.inf
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("c2", "--a", "1", "--b", "4", "--n", "3"),
+        ("c2", "--a", "3/2", "--b", "2", "--n", "4"),
+        ("c2", "--a", "1", "--b", "4", "--n", "3", "--normalization", "paper"),
+        ("c2", "--a", "0", "--b", "1e-300", "--n", "2", "--normalization", "paper"),
+        ("functional", "--a", "1", "--b", "1/2", "--p", "1/4", "--n", "3"),
+        ("functional", "--a", "1", "--b", "2", "--p", "1/3", "--n", "2"),
+        ("functional", "--a", "1", "--b", "1", "--p", "1/3", "--n", "2"),
+        ("q", "--n", "6", "--y", "1/2"),
+        ("q", "--n", "3", "--y", "1", "--p", "1/3"),
+        ("q", "--n", "3", "--y", "1e-300"),
+    ],
+)
+def test_exact_and_skipped_follow_the_value(capsys, argv):
+    # a rational value prints as a "num/den" string, a float as a number
+    code, out, _ = run_cli(capsys, *argv, "--rep", "all", "--format", "json")
+    assert code == 0
+    for row in json.loads(out)["results"]:
+        assert row["exact"] is isinstance(row["value"], str)
+        assert row["skipped"] is (row["value"] is None)
+        if row["exact"]:
+            assert Fraction(row["value"]) > 0
+
+
+@pytest.mark.parametrize(
+    "argv, reasons",
+    [
+        (("c2", "--a", "1e300", "--b", "2", "--n", "5"),
+         {"double_factorial": "(1+a/sqrt(b))^(k+1) about 1e+600 is outside float range",
+          "hyp_closed": "(a+sqrt(b))^(n+1) about 1e+1800 is outside float range",
+          "jacobi": "(a+sqrt(b))^(n+1) about 1e+1800 is outside float range",
+          "quadrature": "a^2 about 1e+600 is outside float range",
+          "hyp_unbounded": "a^2 about 1e+600 is outside float range"}),
+        (("c2", "--a", "1e200", "--b", "4", "--n", "2"),
+         {"quadrature": "a^2 about 1e+400 is outside float range",
+          "hyp_unbounded": "a^2 about 1e+400 is outside float range"}),
+    ],
+)
+def test_float_power_past_range_skips_the_row(capsys, argv, reasons):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = {row["rep"]: row for row in json.loads(out)["results"]}
+    for rep, reason in reasons.items():
+        assert rows[rep]["skipped"] is True
+        assert rows[rep]["note"] == reason
+        code, out, err = run_cli(capsys, *argv, "--rep", rep)
+        assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
+@pytest.mark.parametrize("rep", ["series", "via_q"])
+def test_functional_ratio_past_float_range_exits_2(capsys, rep):
+    # y = b^p/a = 1e150/1e-300 = 1e450
+    code, out, err = run_cli(capsys, "functional", "--a", "1e-300", "--b", "1e300",
+                             "--p", "1/2", "--n", "1", "--rep", rep)
+    assert (code, out) == (2, "")
+    assert err == "error: value about 1e+450 is outside float range\n"
+
+
 REGISTRY_POINTS = {
     "c2": ("--a", "2", "--b", "25/4", "--n", "3"),
     "functional": ("--a", "1", "--b", "1/2", "--p", "1/4", "--n", "3"),

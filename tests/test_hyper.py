@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from catalankit.exact import rising_factorial
 from catalankit.hyper import (
     HypConvergenceError,
-    HypTermination,
     HypergeometricError,
     _sum_terminating,
     assoc_legendre_p,
@@ -135,6 +134,29 @@ def test_terminating_sum_matches_plain_fraction_loop(upper, lower, z, k_max):
     assert type(got) is type(want)
 
 
+@pytest.mark.parametrize(
+    "cut, kind",
+    [(-3, float), (Fraction(-3), Fraction), (-3.0, float)],
+)
+def test_pfq_terminates_on_a_nonpositive_integer_upper_parameter(cut, kind):
+    # z = 2 lies outside the disc, so only a terminating sum has a value
+    other = Fraction(1, 2) if kind is Fraction else 0.5
+    low = Fraction(3, 2) if kind is Fraction else 1.5
+    got = pfq_series((cut, other), (low,), 2)
+    assert type(got) is kind
+    want = _plain_fraction_sum((-3, Fraction(1, 2)), (Fraction(3, 2),), 2, 3)
+    assert got == (want if kind is Fraction else float(want))
+
+
+def test_pfq_converges_without_a_nonpositive_integer_upper_parameter():
+    got = pfq_series((Fraction(-5, 2), Fraction(1, 2)), (Fraction(3, 2),), Fraction(1, 2))
+    assert isinstance(got, float)
+    want = float(mpmath.hyper([-2.5, 0.5], [1.5], 0.5))
+    assert got == pytest.approx(want, rel=1e-13)
+    with pytest.raises(HypergeometricError):
+        pfq_series((Fraction(-5, 2), Fraction(1, 2)), (Fraction(3, 2),), 2)
+
+
 def test_divergent_argument_rejected():
     with pytest.raises(HypergeometricError):
         gauss_2f1(0.5, 1.5, 2.5, 1.2)
@@ -142,9 +164,7 @@ def test_divergent_argument_rejected():
 
 def test_convergence_budget_enforced():
     with pytest.raises(HypConvergenceError):
-        pfq_series(
-            (0.5, 1.5), (2.5,), 0.999, HypTermination.convergent(1e-15, max_terms=10)
-        )
+        pfq_series((0.5, 1.5), (2.5,), 0.999, max_terms=10)
 
 
 @pytest.mark.parametrize(

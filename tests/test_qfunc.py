@@ -8,6 +8,7 @@ carries the degree repair -14z -> -14z^2 (see the errata command).
 from fractions import Fraction
 from math import factorial
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -312,6 +313,23 @@ def test_hyp_form_n2_not_a_constant_rescale():
         for y in (Fraction(3, 10), Fraction(1, 2))
     ]
     assert abs(r[0] - r[1]) > 1e-3 * max(abs(x) for x in r)
+
+
+def test_hyp_form_convergent_branch_against_mpmath():
+    # n = 2, p = 2/5: 1 - 1/p = -3/2 is no integer, so the 2F1 converges
+    n, p = 2, Fraction(2, 5)
+    for y in (Fraction(1, 3), Fraction(1, 2), Fraction(4, 5)):
+        upper = [1 - Fraction(1) / p, 2]
+        lower = [-Fraction(1) / p]
+        series = mpmath.hyper([float(u) for u in upper], [float(v) for v in lower], -float(y))
+        pref = (-1) ** (n - 1) * p * factorial(n - 1) / y ** (2 * n)
+        assert q_hyp(n, y, p) == pytest.approx(float(pref) * float(series), rel=1e-13)
+
+
+def test_series_value_past_float_range_raises_value_error():
+    # Q(180, 1/2, 1/2) is about 1e325: the exact sum is fine, its float is not
+    with pytest.raises(ValueError, match="outside float range"):
+        q_series_with_terms(180, Fraction(1, 2), Fraction(1, 2))
 
 
 def test_hyp_form_terminating_and_convergent_paths():
