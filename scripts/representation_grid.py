@@ -3,9 +3,11 @@
 Every in-domain c2 representation of the command line table
 (`catalankit.cli.C2_REPS`, generating-function scale) is evaluated at
 each (a, b, n) grid point and compared pairwise; a representation that
-raises ValueError there is out of its domain and left out. The summary
-table shows, for each pair of representations, the worst relative
-difference seen anywhere on the grid and the point that produced it.
+raises one of the command line's `ROW_ERRORS` there is left out, as
+`--rep all` skips its row. The summary table shows, for each pair of
+representations, the worst relative difference seen anywhere on the grid
+(`catalankit.reporting.max_pairwise_rel_diff`, as the command line
+measures it) and the point that produced it.
 Exit status is 1 if any pair exceeds the threshold.
 
 Usage:
@@ -18,7 +20,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from catalankit import Normalization
-from catalankit.cli import C2_REPS, ON_REQUEST
+from catalankit.cli import C2_REPS, ON_REQUEST, ROW_ERRORS
+from catalankit.reporting import max_pairwise_rel_diff
 
 
 def parse_numbers(text):
@@ -26,7 +29,8 @@ def parse_numbers(text):
 
 
 def evaluate_point(a, b, n, quad_tol):
-    """All representations defined at (a, b, n), as floats keyed by name."""
+    """All representations defined at (a, b, n), keyed by name, with the
+    values the routes return (a Fraction where the route is exact)."""
     x = argparse.Namespace(
         a=a, b=b, n=n, norm=Normalization.GENERATING_FUNCTION, quad_tol=quad_tol)
     values = {}
@@ -34,8 +38,8 @@ def evaluate_point(a, b, n, quad_tol):
         if rep in ON_REQUEST:
             continue
         try:
-            values[rep] = float(build(x)["value"])
-        except ValueError:
+            values[rep] = build(x)["value"]
+        except ROW_ERRORS:
             continue
     return values
 
@@ -59,9 +63,7 @@ def main(argv=None):
             values = evaluate_point(a, b, n, args.quad_tol)
             points += 1
             for left, right in combinations(sorted(values), 2):
-                x, y = values[left], values[right]
-                scale = max(abs(x), abs(y), 1e-300)
-                diff = abs(x - y) / scale
+                diff = max_pairwise_rel_diff((values[left], values[right]))
                 key = (left, right)
                 if key not in worst or diff > worst[key][0]:
                     worst[key] = (diff, a, b, n)

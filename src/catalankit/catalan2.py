@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .exact import _check_n, _exact_or_float, _is_exact, catalan, double_factorial, exact_sqrt
+from .exact import _check_n, _exact_or_float, _float_pow, _is_exact, _to_float
+from .exact import catalan, double_factorial, exact_sqrt
 from .hyper import assoc_legendre_p, gauss_2f1, jacobi_p
 from .quad import HalflineIntegrand, QuadResult, integrate_halfline
 from .series import gf_catalan2
@@ -41,6 +42,7 @@ __all__ = [
     "c2_legendre",
     "c2_gf_coefficient",
     "c2_table_check",
+    "printed_table_value",
 ]
 
 
@@ -69,17 +71,7 @@ def _check_domain(a, b, n: int) -> None:
 def _sqrt_b(b):
     """sqrt(b): a Fraction when b has a rational root, else a float."""
     root = exact_sqrt(Fraction(b))
-    return math.sqrt(b) if root is None else root
-
-
-def _float_pow(base, exponent, name: str):
-    """base ** exponent, with a ValueError naming the power when a float
-    result is beyond the float range (float ** raises OverflowError)."""
-    try:
-        return base ** exponent
-    except OverflowError:
-        exp10 = exponent * math.log10(base)
-        raise ValueError(f"{name} about 1e{exp10:+.0f} is outside float range") from None
+    return math.sqrt(_to_float(b)) if root is None else root
 
 
 def _norm_factor(norm: Normalization):
@@ -114,8 +106,8 @@ def c2_double_factorial_sum(a, b, n: int):
         scale = double_factorial(2 * n) * Fraction(b) ** n * root
         value = Fraction(total * scale.denominator, bn ** (n + 1) * scale.numerator)
         return _exact_or_float(value, a, b)
-    base = 1.0 + float(a) / root
-    scale = double_factorial(2 * n) * float(b) ** n * root
+    base = 1.0 + _to_float(a) / root
+    scale = double_factorial(2 * n) * _float_pow(_to_float(b), n, "b^n") * root
     total = 0.0
     for k, weight in enumerate(weights):
         if weight:
@@ -132,7 +124,7 @@ def c2_quadrature(a, b, n: int, tol: float = 1e-10) -> QuadResult:
     _check_domain(a, b, n)
     if not a > 0:
         raise ValueError("c2_quadrature needs a > 0")
-    a2, bf, power = _float_pow(float(a), 2, "a^2"), float(b), n + 1
+    a2, bf, power = _float_pow(_to_float(a), 2, "a^2"), _to_float(b), n + 1
 
     def f(t: float) -> float:
         return math.sqrt(t) / ((a2 + t) * (bf + t) ** power)
@@ -154,9 +146,10 @@ def c2_hyp_closed(a, b, n: int, norm: Normalization = Normalization.GENERATING_F
     """
     _check_domain(a, b, n)
     root = _sqrt_b(b)
-    aa = Fraction(a) if _is_exact(root) else float(a)
+    aa = Fraction(a) if _is_exact(root) else _to_float(a)
     z = (root - aa) / (2 * root)
-    pref = catalan(n) / ((2 * root) ** n * _float_pow(aa + root, n + 1, "(a+sqrt(b))^(n+1)"))
+    two_root_n = _float_pow(2 * root, n, "(2 sqrt(b))^n")
+    pref = catalan(n) / (two_root_n * _float_pow(aa + root, n + 1, "(a+sqrt(b))^(n+1)"))
     k = _norm_factor(norm)
     return _exact_or_float(pref * gauss_2f1(1 - n, n, n + 2, z), a, b, k) * k
 
@@ -173,7 +166,7 @@ def c2_hyp_unbounded(
     _check_domain(a, b, n)
     if not a > 0:
         raise ValueError("c2_hyp_unbounded needs a > 0")
-    a2, bf = _float_pow(float(a), 2, "a^2"), float(b)
+    a2, bf = _float_pow(_to_float(a), 2, "a^2"), _to_float(b)
     z = 1.0 - bf / a2
     if not abs(z) < 1:
         raise ValueError(f"c2_hyp_unbounded needs |1 - b/a^2| < 1, got {z!r}")
@@ -191,8 +184,9 @@ def c2_jacobi(a, b, n: int, norm: Normalization = Normalization.GENERATING_FUNCT
     if n < 1:
         raise ValueError("c2_jacobi needs n >= 1")
     root = _sqrt_b(b)
-    aa = Fraction(a) if _is_exact(root) else float(a)
-    pref = 1 / (n * (2 * root) ** n * _float_pow(aa + root, n + 1, "(a+sqrt(b))^(n+1)"))
+    aa = Fraction(a) if _is_exact(root) else _to_float(a)
+    two_root_n = _float_pow(2 * root, n, "(2 sqrt(b))^n")
+    pref = 1 / (n * two_root_n * _float_pow(aa + root, n + 1, "(a+sqrt(b))^(n+1)"))
     k = _norm_factor(norm)
     return _exact_or_float(pref * jacobi_p(n - 1, n + 1, -n - 1, aa / root), a, b, k) * k
 
@@ -216,7 +210,7 @@ def c2_legendre(
     _check_domain(a, b, n)
     if n < 1:
         raise ValueError("c2_legendre needs n >= 1")
-    af, bf = float(a), float(b)
+    af, bf = _to_float(a), _to_float(b)
     root = math.sqrt(bf)
     if not 0 < af < root:
         raise ValueError("c2_legendre needs 0 < a < sqrt(b)")
@@ -226,12 +220,13 @@ def c2_legendre(
         pref = (
             catalan(n)
             * _norm_factor(norm)
-            / (2 * root) ** n
+            / _float_pow(2 * root, n, "(2 sqrt(b))^n")
             * gam
-            / (bf - af**2) ** ((n + 1) / 2)
+            / _float_pow(bf - _float_pow(af, 2, "a^2"), (n + 1) / 2, "(b-a^2)^((n+1)/2)")
         )
     elif variant is LegendreVariant.EQ0B:
-        pref = catalan(n) * (af / (2 * root)) ** n * gam / (root - af) ** (2 * n + 1)
+        ratio_n = _float_pow(af / (2 * root), n, "(a/(2 sqrt(b)))^n")
+        pref = catalan(n) * ratio_n * gam / _float_pow(root - af, 2 * n + 1, "(sqrt(b)-a)^(2n+1)")
     else:
         raise ValueError(f"unknown Legendre variant {variant!r}")
     return float(pref * p_val)
@@ -272,9 +267,12 @@ def printed_table_value(a, b, n: int) -> float:
         raise ValueError(f"printed table covers n = 0..5, got {n}")
     _check_domain(a, b, n)
     terms, const, bpow = _PRINTED_TABLE[n]
-    af, sb = float(a), math.sqrt(float(b))
-    num = math.fsum(c * af**i * sb**j for c, i, j in terms)
-    return math.pi * num / (const * (af + sb) ** (n + 1) * sb**bpow)
+    af, sb = _to_float(a), math.sqrt(_to_float(b))
+    num = math.fsum(
+        c * _float_pow(af, i, "a^i") * _float_pow(sb, j, "b^(j/2)") for c, i, j in terms
+    )
+    den = const * _float_pow(af + sb, n + 1, "(a+sqrt(b))^(n+1)") * _float_pow(sb, bpow, "b^(j/2)")
+    return math.pi * num / den
 
 
 @dataclass(frozen=True)
@@ -308,8 +306,9 @@ def c2_table_check(pairs=_TABLE_GRID, tol: float = 1e-10) -> list[TableCheckRow]
     """
     rows = []
     for a, b in pairs:
+        af, bf = _to_float(a), _to_float(b)
         for n in range(len(_PRINTED_TABLE)):
             printed = printed_table_value(a, b, n)
             quad = c2_quadrature(a, b, n, tol=tol).value
-            rows.append(TableCheckRow(n, float(a), float(b), printed, quad, printed / quad))
+            rows.append(TableCheckRow(n, af, bf, printed, quad, printed / quad))
     return rows

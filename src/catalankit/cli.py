@@ -29,20 +29,8 @@ import sys
 from collections.abc import Iterator
 from fractions import Fraction
 
-from . import catalan2, exact, functional
-from .catalan2 import (
-    _TABLE_GRID,
-    LegendreVariant,
-    Normalization,
-    c2_double_factorial_sum,
-    c2_gf_coefficient,
-    c2_hyp_closed,
-    c2_hyp_unbounded,
-    c2_jacobi,
-    c2_legendre,
-    c2_quadrature,
-    c2_table_check,
-)
+from . import catalan2, exact, functional, hyper, qfunc, quad
+from .catalan2 import LegendreVariant, Normalization
 from .functional import (
     cf_double_sum,
     cf_half_reduction_check,
@@ -52,23 +40,10 @@ from .functional import (
     cf_series_detailed,
     cf_via_q,
 )
-from .hyper import gauss_2f1, jacobi_p, assoc_legendre_p
-from .qfunc import (
-    boyadzhiev_check,
-    pochhammer_derivative_check,
-    q_derivative_form_check,
-    q_hyp,
-    q_polylog,
-    q_recurrence_check,
-    q_recurrence_value,
-    q_series_with_terms,
-    q_stirling,
-    zform_check,
-)
-from .quad import QuadratureError, beta_cases, euler_integral_2f1_check, integrate_halfline
+from .quad import QuadratureError
 from .reporting import CompareReport, RepRow, format_float, format_scalar, render_report
 
-__all__ = ["main", "C2_REPS", "FUNCTIONAL_REPS", "Q_REPS", "ON_REQUEST"]
+__all__ = ["main", "C2_REPS", "FUNCTIONAL_REPS", "Q_REPS", "ON_REQUEST", "ROW_ERRORS"]
 
 _SELFTEST_SEED = 20260816
 
@@ -151,7 +126,7 @@ def cmd_catalan(args) -> int:
 # One ordered table per quantity, representation name -> row builder, in
 # `--rep all` order. A builder maps the parsed inputs plus `norm` and
 # `quad_tol` to the RepRow fields after the name. It names its route in
-# its body, so the route is looked up in this module at call time.
+# its body, so the route is looked up in its module at call time.
 
 
 def _quad(result) -> dict:
@@ -171,17 +146,17 @@ def _series(ev) -> dict:
 
 
 C2_REPS = {
-    "double_factorial": lambda x: dict(value=c2_double_factorial_sum(x.a, x.b, x.n)),
-    "hyp_closed": lambda x: _closed(x, c2_hyp_closed(x.a, x.b, x.n, x.norm)),
-    "jacobi": lambda x: _closed(x, c2_jacobi(x.a, x.b, x.n, x.norm)),
-    "quadrature": lambda x: _quad(c2_quadrature(x.a, x.b, x.n, tol=x.quad_tol)),
-    "gf_coefficient": lambda x: dict(value=c2_gf_coefficient(x.a, x.b, x.n)),
-    "hyp_unbounded": lambda x: _closed(x, c2_hyp_unbounded(x.a, x.b, x.n, x.norm)),
+    "double_factorial": lambda x: dict(value=catalan2.c2_double_factorial_sum(x.a, x.b, x.n)),
+    "hyp_closed": lambda x: _closed(x, catalan2.c2_hyp_closed(x.a, x.b, x.n, x.norm)),
+    "jacobi": lambda x: _closed(x, catalan2.c2_jacobi(x.a, x.b, x.n, x.norm)),
+    "quadrature": lambda x: _quad(catalan2.c2_quadrature(x.a, x.b, x.n, tol=x.quad_tol)),
+    "gf_coefficient": lambda x: dict(value=catalan2.c2_gf_coefficient(x.a, x.b, x.n)),
+    "hyp_unbounded": lambda x: _closed(x, catalan2.c2_hyp_unbounded(x.a, x.b, x.n, x.norm)),
     "legendre_sec2": lambda x: _closed(
-        x, c2_legendre(x.a, x.b, x.n, LegendreVariant.SEC2, x.norm)
+        x, catalan2.c2_legendre(x.a, x.b, x.n, LegendreVariant.SEC2, x.norm)
     ),
     "legendre_eq0b": lambda x: dict(
-        value=c2_legendre(x.a, x.b, x.n, LegendreVariant.EQ0B, x.norm),
+        value=catalan2.c2_legendre(x.a, x.b, x.n, LegendreVariant.EQ0B, x.norm),
         note="printed prefactor variant, known inconsistent; see the errata command",
         compare=False,
     ),
@@ -196,17 +171,17 @@ FUNCTIONAL_REPS = {
 
 
 def _q_series(x) -> dict:
-    value, terms = q_series_with_terms(x.n, x.y, x.p)
+    value, terms = qfunc.q_series_with_terms(x.n, x.y, x.p)
     return dict(value=value, terms=terms)
 
 
 Q_REPS = {
     "series": _q_series,
-    "stirling": lambda x: dict(value=q_stirling(x.n, x.y, x.p)),
-    "polylog": lambda x: dict(value=q_polylog(x.n, x.y, x.p)),
-    "recurrence": lambda x: dict(value=q_recurrence_value(x.n, x.y, x.p)),
+    "stirling": lambda x: dict(value=qfunc.q_stirling(x.n, x.y, x.p)),
+    "polylog": lambda x: dict(value=qfunc.q_polylog(x.n, x.y, x.p)),
+    "recurrence": lambda x: dict(value=qfunc.q_recurrence_value(x.n, x.y, x.p)),
     "hyp": lambda x: dict(
-        value=q_hyp(x.n, x.y, x.p),
+        value=qfunc.q_hyp(x.n, x.y, x.p),
         note="printed form, excluded from comparison; see the errata command",
         compare=False,
     ),
@@ -214,6 +189,9 @@ Q_REPS = {
 
 # Accepted by --rep, left out of `all`.
 ON_REQUEST = frozenset({"legendre_eq0b"})
+
+# A route's failures at valid inputs: under `all` its row is skipped with the reason.
+ROW_ERRORS = (ValueError, ZeroDivisionError, QuadratureError)
 
 # Per command: the inputs echoed, in order, its representation table and
 # the library's domain check for the inputs every representation shares.
@@ -258,7 +236,7 @@ def cmd_compare(args) -> int:
             continue
         try:
             rows.append(RepRow(rep, **build(x)))
-        except (ValueError, ZeroDivisionError, QuadratureError) as exc:
+        except ROW_ERRORS as exc:
             rows.append(RepRow(rep, note=str(exc)))
     notes = (_PAPER_NOTE,) if norm is Normalization.PRINTED_PI else ()
     report = CompareReport(args.command, inputs, tuple(rows), notes)
@@ -279,8 +257,8 @@ def _errata_findings(tol: float) -> tuple[list[RepRow], bool]:
         verdict = "confirmed: " if ok else "NOT confirmed: "
         rows.append(RepRow(name, value, compare=False, note=verdict + text))
 
-    for a, b in _TABLE_GRID:
-        worst = max(r.ratio_error for r in c2_table_check(((a, b),), tol=1e-10))
+    for a, b in catalan2._TABLE_GRID:
+        worst = max(r.ratio_error for r in catalan2.c2_table_check(((a, b),), tol=1e-10))
         add(
             f"table_pi(a={format_scalar(a)},b={format_scalar(b)})",
             worst,
@@ -303,8 +281,8 @@ def _errata_findings(tol: float) -> tuple[list[RepRow], bool]:
                 abs(ratio - expected) <= tol * expected,
                 f"printed/corrected, expected n!/(n+1) = {format_float(expected)}",
             )
-            quad = cf_quadrature(a, b, half, n, tol=1e-10).value
-            worst_quad = max(worst_quad, abs(corrected - quad) / abs(quad))
+            integral = cf_quadrature(a, b, half, n, tol=1e-10).value
+            worst_quad = max(worst_quad, abs(corrected - integral) / abs(integral))
         add(
             f"series_corrected_vs_quadrature(a={a},b={b})",
             worst_quad,
@@ -314,9 +292,9 @@ def _errata_findings(tol: float) -> tuple[list[RepRow], bool]:
 
     for n in (2, 3):
         a, b = 1, 4
-        truth = float(c2_hyp_closed(a, b, n))
-        sec2_ratio = c2_legendre(a, b, n, LegendreVariant.SEC2) / truth
-        eq0b_ratio = c2_legendre(a, b, n, LegendreVariant.EQ0B) / truth
+        truth = float(catalan2.c2_hyp_closed(a, b, n))
+        sec2_ratio = catalan2.c2_legendre(a, b, n, LegendreVariant.SEC2) / truth
+        eq0b_ratio = catalan2.c2_legendre(a, b, n, LegendreVariant.EQ0B) / truth
         expected = (
             a**n
             * (b - a * a) ** ((n + 1) / 2)
@@ -338,7 +316,7 @@ def _errata_findings(tol: float) -> tuple[list[RepRow], bool]:
 
     third = Fraction(1, 3)
     for y in (Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)):
-        ratio = q_hyp(1, y, third) / float(q_stirling(1, y, third))
+        ratio = qfunc.q_hyp(1, y, third) / float(qfunc.q_stirling(1, y, third))
         expected = float((1 / y) ** 3)
         add(
             f"q_hyp_ratio(n=1,y={format_scalar(y)})",
@@ -347,7 +325,7 @@ def _errata_findings(tol: float) -> tuple[list[RepRow], bool]:
             f"printed/true, expected y^-3 = {format_float(expected)}",
         )
     ratios = [
-        q_hyp(2, y, half) / float(q_stirling(2, y, half))
+        qfunc.q_hyp(2, y, half) / float(qfunc.q_stirling(2, y, half))
         for y in (Fraction(3, 10), Fraction(1, 2))
     ]
     spread = abs(ratios[0] - ratios[1]) / max(abs(r) for r in ratios)
@@ -459,25 +437,25 @@ def _suite_polylog(quad_tol: float) -> Iterator[str]:
 def _suite_hypergeometric(quad_tol: float) -> Iterator[str]:
     for n in range(7):
         for bb, cc in ((Fraction(1, 2), Fraction(7, 3)), (Fraction(3, 4), Fraction(5, 2))):
-            lhs = gauss_2f1(-n, bb, cc, 1)
+            lhs = hyper.gauss_2f1(-n, bb, cc, 1)
             rhs = exact.rising_factorial(cc - bb, n) / exact.rising_factorial(cc, n)
             if lhs != rhs:
                 yield f"Chu-Vandermonde fails at n={n}, b={bb}, c={cc}"
-    if gauss_2f1(-3, -2, 2, 1) != 5:
+    if hyper.gauss_2f1(-3, -2, 2, 1) != 5:
         yield "2F1(-3, -2; 2; 1) != 5"
-    if jacobi_p(2, 4, -4, Fraction(0)) != Fraction(15, 2):
+    if hyper.jacobi_p(2, 4, -4, Fraction(0)) != Fraction(15, 2):
         yield "P_2^(4,-4)(0) != 15/2"
-    if abs(assoc_legendre_p(0, -2, 0.5) - 1 / 6) > 1e-13:
+    if abs(hyper.assoc_legendre_p(0, -2, 0.5) - 1 / 6) > 1e-13:
         yield "P_0^(-2)(1/2) != 1/6"
-    if abs(assoc_legendre_p(1, -2, 0.5) - 5 / 36) > 1e-13:
+    if abs(hyper.assoc_legendre_p(1, -2, 0.5) - 5 / 36) > 1e-13:
         yield "P_1^(-2)(1/2) != 5/36"
 
 
 def _suite_quadrature_beta(quad_tol: float) -> Iterator[str]:
-    for i, ((s, r, b), integrand, truth) in enumerate(beta_cases(50, _SELFTEST_SEED)):
+    for i, ((s, r, b), integrand, truth) in enumerate(quad.beta_cases(50, _SELFTEST_SEED)):
         case = f"case {i}: s={s!r}, r={r!r}, b={b!r}"
         try:
-            got = integrate_halfline(integrand, tol=quad_tol).value
+            got = quad.integrate_halfline(integrand, tol=quad_tol).value
         except QuadratureError as exc:
             yield f"{case}: {exc}"
             continue
@@ -503,7 +481,7 @@ _EULER_SETS = (
 def _suite_euler_integral(quad_tol: float) -> Iterator[str]:
     for alpha, beta, gamma, z in _EULER_SETS:
         try:
-            ok = euler_integral_2f1_check(alpha, beta, gamma, z, tol=1e-9)
+            ok = quad.euler_integral_2f1_check(alpha, beta, gamma, z, tol=1e-9)
         except QuadratureError as exc:
             yield f"({alpha}, {beta}, {gamma}, {z}): {exc}"
             continue
@@ -520,10 +498,10 @@ def _suite_q_identities(quad_tol: float) -> Iterator[str]:
         (3, Fraction(9, 10), Fraction(2, 5)),
         (4, Fraction(1, 5), half),
     ):
-        if not q_recurrence_check(n, y, p):
+        if not qfunc.q_recurrence_check(n, y, p):
             yield f"recurrence check fails at n={n}, y={y}, p={p}"
     for n, k_max in ((2, 30), (4, 60)):
-        if not q_derivative_form_check(n, k_max, Fraction(1, 3), half):
+        if not qfunc.q_derivative_form_check(n, k_max, Fraction(1, 3), half):
             yield f"derivative form check fails at n={n}"
     polys = (
         (exact.Polynomial([1, 2, 3]), Fraction(1, 3)),
@@ -531,14 +509,14 @@ def _suite_q_identities(quad_tol: float) -> Iterator[str]:
         (exact.Polynomial([2, 0, -1, 5]), Fraction(1, 2)),
     )
     for poly, y in polys:
-        if not boyadzhiev_check(poly, y):
+        if not qfunc.boyadzhiev_check(poly, y):
             yield f"series transform fails for coefficients {poly.coeffs}"
     for n in range(7):
         for k in range(n + 1):
-            if not pochhammer_derivative_check(n, k):
+            if not qfunc.pochhammer_derivative_check(n, k):
                 yield f"Pochhammer derivative fails at n={n}, k={k}"
     for n in range(1, 6):
-        if not zform_check(n):
+        if not qfunc.zform_check(n):
             yield f"z-form bracket identity fails at n={n}"
 
 
@@ -556,11 +534,11 @@ def _suite_functional_consistency(quad_tol: float) -> Iterator[str]:
     for a, b, p, n in points:
         exact_value = float(cf_double_sum(a, b, p, n))
         try:
-            quad = cf_quadrature(a, b, p, n, tol=quad_tol).value
+            integral = cf_quadrature(a, b, p, n, tol=quad_tol).value
         except QuadratureError as exc:
             yield f"quadrature at (a={a}, b={b}, p={p}, n={n}): {exc}"
             continue
-        rel = abs(exact_value - quad) / abs(quad)
+        rel = abs(exact_value - integral) / abs(integral)
         if rel > 10.0 * quad_tol:
             yield (
                 f"double sum vs quadrature at (a={a}, b={b}, p={p}, n={n}): "

@@ -58,6 +58,16 @@ def _to_float(x) -> float:
         raise ValueError(f"value about 1e{exp10:+.0f} is outside float range") from None
 
 
+def _float_pow(base, exponent, name: str):
+    """base ** exponent, with a ValueError naming the power when a float
+    result is beyond the float range (float ** raises OverflowError)."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        exp10 = exponent * math.log10(base)
+        raise ValueError(f"{name} about 1e{exp10:+.0f} is outside float range") from None
+
+
 def _exact_or_float(value, *inputs):
     """The package's one exactness policy, for a route's final value:
     value itself when every input passes _is_exact, else _to_float(value)."""

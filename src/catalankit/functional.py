@@ -28,7 +28,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .catalan2 import _check_domain as _check_c2_domain, c2_hyp_closed
-from .exact import _check_p, _exact_or_float, _is_exact, _to_float, exact_pow, rising_factorial
+from .exact import _check_p, _exact_or_float, _float_pow, _is_exact, _to_float
+from .exact import exact_pow, rising_factorial
 from .qfunc import _pochhammer_series, q_series_with_terms, q_stirling
 from .quad import HalflineIntegrand, QuadResult, integrate_halfline
 
@@ -52,7 +53,7 @@ def _check_domain(a, b, p, n: int) -> None:
 def _b_to_p(b, p):
     """b**p: a Fraction when the power is rational, else a float."""
     power = exact_pow(Fraction(b), Fraction(p))
-    return float(b) ** float(p) if power is None else power
+    return _float_pow(_to_float(b), _to_float(p), "b^p") if power is None else power
 
 
 def _series_ratio(a, b, p) -> Fraction:
@@ -61,7 +62,11 @@ def _series_ratio(a, b, p) -> Fraction:
     power = _b_to_p(b, p)
     if _is_exact(power, a):
         return power / Fraction(a)
-    return Fraction(float(power) / float(a))
+    y = _to_float(power) / _to_float(a)
+    if math.isinf(y):
+        exp10 = math.log10(power) - math.log10(a)
+        raise ValueError(f"b^p/a about 1e{exp10:+.0f} is outside float range")
+    return Fraction(y)
 
 
 def cf_quadrature(a, b, p, n: int, tol: float = 1e-10) -> QuadResult:
@@ -74,7 +79,7 @@ def cf_quadrature(a, b, p, n: int, tol: float = 1e-10) -> QuadResult:
     _check_domain(a, b, p, n)
     if not a > 0:
         raise ValueError("cf_quadrature needs a > 0")
-    af, bf, pf = float(a), float(b), float(p)
+    af, bf, pf = _to_float(a), _to_float(b), _to_float(p)
     a2 = af * af
     two_a_cos = 2.0 * af * math.cos(pf * math.pi)
     power = n + 1
@@ -119,10 +124,12 @@ def cf_double_sum(a, b, p, n: int):
             (inner * weight**k for k, inner in enumerate(inner_sums)), Fraction(0)
         )
         return _exact_or_float(total / ((af + power) * factorial(n) * bf**n), a, b, p)
-    af, bf = float(a), float(b)
+    af, bf = _to_float(a), _to_float(b)
     weight = 1.0 / (1.0 + af / power)
-    total = math.fsum(_to_float(inner) * weight**k for k, inner in enumerate(inner_sums))
-    return total / ((af + power) * factorial(n) * bf**n)
+    total = math.fsum(
+        _to_float(inner) * _float_pow(weight, k, "weight^k") for k, inner in enumerate(inner_sums)
+    )
+    return total / ((af + power) * factorial(n) * _float_pow(bf, n, "b^n"))
 
 
 @dataclass(frozen=True)
@@ -135,9 +142,26 @@ class SeriesEvaluation:
     terms: int
 
 
-def cf_series_detailed(
-    a, b, p, n: int, tol: float = 1e-15, max_terms: int = 100_000
-) -> SeriesEvaluation:
+def _single_series(a, b, p, n: int):
+    """What the corrected and the printed series share: the domain and
+    a > 0 checks, y = b^p/a (refused at 1), a b^n and the branch sum, as
+    (sum, a b^n, branch, y, terms). The sum is Q(n, y, p) as a float when
+    ascending, the exact -sum_{k>=1} (pk)_n (-1/y)^k when descending."""
+    _check_domain(a, b, p, n)
+    if not a > 0:
+        raise ValueError("cf_series needs a > 0 (the prefactor divides by a)")
+    y = _series_ratio(a, b, p)
+    if y == 1:
+        raise ValueError("cf_series: b^p = a is the series boundary; use cf_via_q")
+    ab_n = _to_float(a) * _float_pow(_to_float(b), n, "b^n")
+    if y < 1:
+        total, terms = q_series_with_terms(n, y, Fraction(p))
+        return total, ab_n, "ascending", y, terms
+    total, terms = _pochhammer_series(n, 1 / y, Fraction(p), descending=True)
+    return -total, ab_n, "descending", y, terms
+
+
+def cf_series_detailed(a, b, p, n: int) -> SeriesEvaluation:
     """Single-series representation with branch selection; needs b^p != a.
 
     Ascending branch (y = b^p/a < 1):   (1/(a b^n n!)) sum_{k>=0} (-pk)_n (-y)^k
@@ -149,28 +173,15 @@ def cf_series_detailed(
     spurious 1 at n = 0). At b^p = a neither branch converges; use
     cf_via_q, which is exact there.
     """
-    _check_domain(a, b, p, n)
-    if not a > 0:
-        raise ValueError("cf_series needs a > 0 (the prefactor divides by a)")
-    y = _series_ratio(a, b, p)
-    if y == 1:
-        raise ValueError("cf_series: b^p = a is the series boundary; use cf_via_q")
-    pf = Fraction(p)
-    scale = float(a) * float(b) ** n * factorial(n)
-    if y < 1:
-        total, terms = q_series_with_terms(n, y, pf, tol=tol, max_terms=max_terms)
-        return SeriesEvaluation(total / scale, "ascending", _to_float(y), terms)
-    total, terms = _pochhammer_series(n, 1 / y, pf, tol, max_terms, descending=True)
-    return SeriesEvaluation(-_to_float(total) / scale, "descending", _to_float(y), terms)
+    total, ab_n, branch, y, terms = _single_series(a, b, p, n)
+    return SeriesEvaluation(_to_float(total) / (ab_n * factorial(n)), branch, _to_float(y), terms)
 
 
-def cf_series(a, b, p, n: int, tol: float = 1e-15, max_terms: int = 100_000) -> float:
-    return cf_series_detailed(a, b, p, n, tol, max_terms).value
+def cf_series(a, b, p, n: int) -> float:
+    return cf_series_detailed(a, b, p, n).value
 
 
-def cf_series_as_printed(
-    a, b, p, n: int, tol: float = 1e-15, max_terms: int = 100_000
-) -> float:
+def cf_series_as_printed(a, b, p, n: int) -> float:
     """The published single series, evaluated verbatim: prefactor n+1 and
     both branches starting at k = 0.
 
@@ -178,21 +189,10 @@ def cf_series_as_printed(
     series is n!/(n+1) on either branch; the descending n = 0 case picks
     up the spurious k = 0 term as well.
     """
-    _check_domain(a, b, p, n)
-    if not a > 0:
-        raise ValueError("cf_series_as_printed needs a > 0")
-    y = _series_ratio(a, b, p)
-    if y == 1:
-        raise ValueError("cf_series_as_printed: b^p = a diverges")
-    pf = Fraction(p)
-    scale = float(a) * float(b) ** n * (n + 1)
-    if y < 1:
-        total, _ = q_series_with_terms(n, y, pf, tol=tol, max_terms=max_terms)
-        return total / scale
-    total, _ = _pochhammer_series(n, 1 / y, pf, tol, max_terms, descending=True)
-    if n == 0:
-        total += 1  # the printed k = 0 term, (p*0)_0 = 1
-    return -_to_float(total) / scale
+    total, ab_n, branch, _, _ = _single_series(a, b, p, n)
+    if branch == "descending" and n == 0:
+        total -= 1  # the printed k = 0 term, -(p*0)_0
+    return _to_float(total) / (ab_n * (n + 1))
 
 
 def cf_via_q(a, b, p, n: int):
@@ -207,17 +207,13 @@ def cf_via_q(a, b, p, n: int):
     if not a > 0:
         raise ValueError("cf_via_q needs a > 0")
     power = _b_to_p(b, p)
-    if _is_exact(power):
-        y = power / Fraction(a)
-        if y > 1:
-            raise ValueError(f"cf_via_q needs b^p <= a, got y = {_to_float(y)!r}")
-        value = q_stirling(n, y, Fraction(p)) / (Fraction(a) * Fraction(b) ** n * factorial(n))
-        return _exact_or_float(value, a, b, p)
-    y = float(power) / float(a)
+    y = power / Fraction(a) if _is_exact(power) else _to_float(power) / _to_float(a)
     if y > 1:
-        raise ValueError(f"cf_via_q needs b^p <= a, got y = {y!r}")
+        raise ValueError(f"cf_via_q needs b^p <= a, got y = {_to_float(y)!r}")
     value = q_stirling(n, Fraction(y), Fraction(p))
-    return _to_float(value) / (float(a) * float(b) ** n * factorial(n))
+    if _is_exact(power):
+        return _exact_or_float(value / (Fraction(a) * Fraction(b) ** n * factorial(n)), a, b, p)
+    return _to_float(value) / (_to_float(a) * _float_pow(_to_float(b), n, "b^n") * factorial(n))
 
 
 def cf_half_reduction_check(a, b, n: int, tol: float = 1e-10) -> bool:

@@ -9,8 +9,8 @@ The parameters choose one of two regimes:
   terminating evaluations are immune to cancellation between large
   alternating terms.
 * convergent: otherwise, floating-point summation for |z| < 1, stopping
-  once the current term is below tol relative to the partial sum for
-  three consecutive terms.
+  once the current term is below _REL_TOL relative to the partial sum
+  for three consecutive terms, within _MAX_TERMS terms.
 
 Also provides the Jacobi polynomial and the Ferrers associated Legendre
 function on (0, 1), both routed through the Gauss series so that every
@@ -34,13 +34,17 @@ __all__ = [
     "assoc_legendre_p",
 ]
 
+# The convergent-mode stopping rule (see the module docstring).
+_REL_TOL = 1e-15
+_MAX_TERMS = 100_000
+
 
 class HypergeometricError(ValueError):
     """Invalid parameters: lower-parameter pole or divergent argument."""
 
 
 class HypConvergenceError(RuntimeError):
-    """Convergent-mode summation did not settle within max_terms."""
+    """Convergent-mode summation did not settle within _MAX_TERMS terms."""
 
 
 def _nonpositive_int(x) -> int | None:
@@ -93,7 +97,7 @@ def _sum_terminating(upper, lower, z, k_max: int) -> Fraction:
     return Fraction(total, den)
 
 
-def _sum_convergent(upper, lower, z, tol: float, max_terms: int) -> float:
+def _sum_convergent(upper, lower, z) -> float:
     up = [float(u) for u in upper]
     lo = [float(v) for v in lower]
     zf = float(z)
@@ -104,9 +108,9 @@ def _sum_convergent(upper, lower, z, tol: float, max_terms: int) -> float:
     total = 0.0
     term = 1.0
     settled = 0
-    for k in range(max_terms):
+    for k in range(_MAX_TERMS):
         total += term
-        if abs(term) <= tol * abs(total):
+        if abs(term) <= _REL_TOL * abs(total):
             settled += 1
             if settled >= 3:
                 return total
@@ -123,23 +127,23 @@ def _sum_convergent(upper, lower, z, tol: float, max_terms: int) -> float:
                 )
             den *= v + k
         term = term * num * zf / den
-    raise HypConvergenceError(f"series not settled after {max_terms} terms")
+    raise HypConvergenceError(f"series not settled after {_MAX_TERMS} terms")
 
 
-def pfq_series(upper, lower, z, tol: float = 1e-15, max_terms: int = 100_000):
+def pfq_series(upper, lower, z):
     """Generalized hypergeometric sum pFq(upper; lower; z).
 
     When an upper parameter is a nonpositive integer -m the series stops
     after index m and is summed exactly: a Fraction when every input is
     an int or a Fraction, else a float. Any other series is summed in
-    floats under ``tol`` and ``max_terms`` and returns a float.
+    floats by the convergent-mode rule and returns a float.
     """
     upper, lower = tuple(upper), tuple(lower)
     cuts = [k for k in map(_nonpositive_int, upper) if k is not None]
     if cuts:
         total = _sum_terminating(upper, lower, z, min(cuts))
         return _exact_or_float(total, *upper, *lower, z)
-    return _sum_convergent(upper, lower, z, tol, max_terms)
+    return _sum_convergent(upper, lower, z)
 
 
 def gauss_2f1(a1, a2, c, z):

@@ -67,6 +67,11 @@ __all__ = [
     "zform_check",
 ]
 
+# The single series' stopping rule (both branches): the first nonzero partial
+# sum whose tail bound is at most _REL_TOL times it, within _MAX_TERMS terms.
+_REL_TOL = Fraction(1e-15)
+_MAX_TERMS = 100_000
+
 
 def series_tail_bound(n: int, y: Fraction, p: Fraction, start: int) -> Fraction:
     """Upper bound on sum_{k>=start} |(-pk)_n| y^k, for 0 <= y < 1.
@@ -94,7 +99,7 @@ def series_tail_bound(n: int, y: Fraction, p: Fraction, start: int) -> Fraction:
 
 
 def _pochhammer_series(
-    n: int, y: Fraction, p: Fraction, tol: float, max_terms: int, descending: bool
+    n: int, y: Fraction, p: Fraction, descending: bool
 ) -> tuple[Fraction, int]:
     """(total, terms_used) for one branch of the single series, 0 < y < 1:
 
@@ -102,22 +107,21 @@ def _pochhammer_series(
     descending  sum_{k>=1}  (pk)_n (-y)^k
 
     Stops at the first nonzero partial sum whose series_tail_bound is at
-    most tol * |partial sum|; the bound covers both branches. With p = u/v
-    and y = c/d in lowest terms, term k is prod_{j<n} (j v - u k) (-c)^k
+    most _REL_TOL * |partial sum|; the bound covers both branches. With
+    p = u/v and y = c/d in lowest terms, term k is prod_{j<n} (j v - u k) (-c)^k
     over v^n d^k (j v + u k when descending), so the partial sum is an
     integer T over v^n d^k and the stopping test cross-multiplies
     integers. The total is exact.
     """
-    reltol = Fraction(tol if tol > 0 else 1e-15)
     u, v, c, d = p.numerator, p.denominator, y.numerator, y.denominator
     if not descending:
         u = -u
     start = 1 if descending else 0
     vn = v**n
-    tol_den = reltol.denominator * vn
+    tol_num, tol_den = _REL_TOL.numerator, _REL_TOL.denominator * vn
     power, den_power = (-c) ** start, d**start  # (-c)^k, d^k
     total = 0  # T
-    for k in range(start, start + max_terms):
+    for k in range(start, start + _MAX_TERMS):
         uk = u * k
         term = power
         for j in range(n):
@@ -127,21 +131,19 @@ def _pochhammer_series(
             bound = series_tail_bound(n, y, p, k + 1)
             if (
                 bound.numerator * tol_den * den_power
-                <= reltol.numerator * abs(total) * bound.denominator
+                <= tol_num * abs(total) * bound.denominator
             ):
                 return Fraction(total, vn * den_power), k - start + 1
         power *= -c
         den_power *= d
     name = "descending series" if descending else "q_series"
-    raise RuntimeError(f"{name}: not converged after {max_terms} terms")
+    raise RuntimeError(f"{name}: not converged after {_MAX_TERMS} terms")
 
 
-def q_series_with_terms(
-    n: int, y, p, tol: float = 1e-15, max_terms: int = 100_000
-) -> tuple[float, int]:
+def q_series_with_terms(n: int, y, p) -> tuple[float, int]:
     """(value, terms_used) for the defining series; needs 0 <= y < 1.
 
-    Stops when the tail bound drops below tol * |partial sum|. The
+    Stops when the tail bound drops below _REL_TOL * |partial sum|. The
     summation is exact, so the returned float is the correctly rounded
     partial sum and the tail bound is the whole error.
     """
@@ -152,12 +154,12 @@ def q_series_with_terms(
     yf, pf = Fraction(y), Fraction(p)
     if yf == 0:
         return (1.0 if n == 0 else 0.0), 1
-    total, terms = _pochhammer_series(n, yf, pf, tol, max_terms, descending=False)
+    total, terms = _pochhammer_series(n, yf, pf, descending=False)
     return _to_float(total), terms
 
 
-def q_series(n: int, y, p, tol: float = 1e-15, max_terms: int = 100_000) -> float:
-    return q_series_with_terms(n, y, p, tol, max_terms)[0]
+def q_series(n: int, y, p) -> float:
+    return q_series_with_terms(n, y, p)[0]
 
 
 def q_stirling(n: int, y, p):
@@ -204,7 +206,7 @@ def q_polylog(n: int, y, p):
     return _exact_or_float(Fraction(-1) ** n * acc, y, p)
 
 
-def q_hyp(n: int, y, p, tol: float = 1e-15, max_terms: int = 100_000) -> float:
+def q_hyp(n: int, y, p) -> float:
     """The published nFn-1 form, evaluated exactly as printed.
 
     (-1)^(n-1) p Gamma(n) / y^(2n)
@@ -226,7 +228,7 @@ def q_hyp(n: int, y, p, tol: float = 1e-15, max_terms: int = 100_000) -> float:
     yf, pf = Fraction(y), Fraction(p)
     upper = tuple(1 - Fraction(m) / pf for m in range(n - 1, 0, -1)) + (Fraction(2),)
     lower = tuple(-Fraction(m) / pf for m in range(n - 1, 0, -1))
-    f = pfq_series(upper, lower, -yf, tol, max_terms)
+    f = pfq_series(upper, lower, -yf)
     pref = Fraction(-1) ** (n - 1) * pf * factorial(n - 1) / yf ** (2 * n)
     # f is an exact Fraction when the series terminates, else a float
     return _to_float(pref * f) if _is_exact(f) else _to_float(pref) * f
@@ -313,8 +315,9 @@ def q_derivative_form_check(n: int, k_max: int, y, p) -> bool:
         if derivative_coeff != series_coeff:
             return False
         partial += series_coeff * (-yf) ** k
-    full = Fraction(q_series(n, yf, pf, tol=1e-15))
-    return abs(partial - full) <= series_tail_bound(n, yf, pf, k_max + 1) + Fraction(1e-15)
+    full = Fraction(q_series(n, yf, pf))
+    # _REL_TOL doubles as the slack for rounding full to a float
+    return abs(partial - full) <= series_tail_bound(n, yf, pf, k_max + 1) + _REL_TOL
 
 
 def boyadzhiev_check(f: Polynomial, y) -> bool:

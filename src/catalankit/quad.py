@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 
+# Integrand evaluations integrate_halfline may spend before it gives up.
+_MAX_EVALS = 500_000
+
+
 class QuadratureError(RuntimeError):
     """Adaptive refinement could not reach the tolerance within budget."""
 
@@ -101,11 +105,7 @@ def _gk15(h: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
     return half * sk, abs(half * (sk - sg))
 
 
-def integrate_halfline(
-    g: HalflineIntegrand,
-    tol: float,
-    max_evals: int = 500_000,
-) -> QuadResult:
+def integrate_halfline(g: HalflineIntegrand, tol: float) -> QuadResult:
     """Integrate g.f over [0, inf) to relative tolerance ``tol``.
 
     The result satisfies |value - integral| <= max(tol * |value|, 1e-300)
@@ -113,7 +113,7 @@ def integrate_halfline(
     calibration selftest measures against Beta-integral ground truth
     drawn by `beta_cases`.
     Deterministic: identical inputs give bit-identical results. Raises
-    QuadratureError when the evaluation budget is exhausted first.
+    QuadratureError when the _MAX_EVALS evaluation budget runs out first.
     """
     if not 1e-14 <= tol <= 1e-3:
         raise ValueError("integrate_halfline: tol must lie in [1e-14, 1e-3]")
@@ -152,9 +152,9 @@ def integrate_halfline(
         toterr = math.fsum(iv[3] for iv in intervals)
         if toterr <= max(tol * abs(total), 1e-300):
             break
-        if evals + 30 > max_evals:
+        if evals + 30 > _MAX_EVALS:
             raise QuadratureError(
-                f"evaluation budget {max_evals} exhausted: "
+                f"evaluation budget {_MAX_EVALS} exhausted: "
                 f"value={total!r} abs_err_est={toterr!r} evaluations={evals}"
             )
         worst = max(

@@ -83,8 +83,12 @@ def max_pairwise_rel_diff(values) -> float | None:
         return None
     if _is_exact(*vals) and len(set(vals)) == 1:
         return 0.0  # exact agreement, no float conversion (values may be huge)
+    try:
+        floats = list(map(float, vals))
+    except OverflowError:
+        return math.inf  # an exact value past the float range, and the values differ
     worst = 0.0
-    for (x, fx), (y, fy) in combinations(zip(vals, map(float, vals)), 2):
+    for (x, fx), (y, fy) in combinations(zip(vals, floats), 2):
         scale = max(abs(fx), abs(fy))
         if not (math.isfinite(fx) and math.isfinite(fy)):
             return math.inf  # an overflowed row agrees with nothing (inf - inf is nan)

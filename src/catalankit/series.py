@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import exact_sqrt
+from .exact import _to_float, exact_sqrt
 
 __all__ = [
     "PowerSeries",
@@ -160,7 +160,7 @@ def gf_catalan2(a, b, order: int) -> PowerSeries:
         raise ValueError("gf_catalan2: order must be >= 1")
     if not (a >= 0 and b > 0):
         raise ValueError("gf_catalan2: need a >= 0 and b > 0")
-    num = float if exact_sqrt(b) is None else Fraction
+    num = _to_float if exact_sqrt(b) is None else Fraction
     base = PowerSeries((num(b), num(-1)) + (num(0),) * max(0, order - 2))
     root = series_sqrt(base)
     denom = PowerSeries((root.coeffs[0] + num(a),) + root.coeffs[1:])

@@ -268,6 +268,44 @@ def test_functional_ratio_past_float_range_exits_2(capsys, rep):
     assert err == "error: value about 1e+450 is outside float range\n"
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("c2", "--a", "1", "--b", "2e300", "--n", "2", "--rep", "double_factorial"),
+         "b^n about 1e+601 is outside float range"),
+        (("functional", "--a", "1", "--b", "1e300", "--p", "1/2", "--n", "2", "--rep", "series"),
+         "b^n about 1e+600 is outside float range"),
+        (("c2", "--a", "1e400", "--b", "4", "--n", "0", "--rep", "quadrature"),
+         "value about 1e+400 is outside float range"),
+        (("c2", "--a", "1", "--b", "3e399", "--n", "1", "--rep", "double_factorial"),
+         "value about 1e+399 is outside float range"),
+        (("functional", "--a", "1", "--b", "3e300", "--p", "1/3", "--n", "2",
+          "--rep", "double_sum"),
+         "b^n about 1e+601 is outside float range"),
+        (("functional", "--a", "1", "--b", "3e399", "--p", "1/3", "--n", "1",
+          "--rep", "double_sum"),
+         "value about 1e+399 is outside float range"),
+    ],
+)
+def test_float_of_an_input_past_range_exits_2(capsys, argv, reason):
+    # in-range arguments whose float, or a float power of them, overflows:
+    # a reason on stderr and exit 2, where an OverflowError escaped before
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
+def test_input_past_float_range_skips_every_row(capsys):
+    # sqrt(3e399) is irrational, so every c2 route needs float(b)
+    code, out, _ = run_cli(capsys, "c2", "--a", "1", "--b", "3e399", "--n", "1",
+                           "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert len(rows) == 7
+    for row in rows:
+        assert row["skipped"] is True
+        assert row["note"] == "value about 1e+399 is outside float range"
+
+
 REGISTRY_POINTS = {
     "c2": ("--a", "2", "--b", "25/4", "--n", "3"),
     "functional": ("--a", "1", "--b", "1/2", "--p", "1/4", "--n", "3"),

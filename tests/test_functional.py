@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catalankit import qfunc
 from catalankit.catalan2 import c2_hyp_closed
 from catalankit.functional import (
     cf_double_sum,
@@ -78,14 +79,16 @@ def test_series_descending_branch():
     assert ev.value == pytest.approx(float(Fraction(1, 36)), rel=1e-13)
 
 
-def test_series_max_terms_exhausted():
+def test_series_max_terms_exhausted(monkeypatch):
+    # the term budget is the private constant of qfunc's stopping rule
+    monkeypatch.setattr(qfunc, "_MAX_TERMS", 2)
     for series in (cf_series_detailed, cf_series_as_printed):
         # descending branch: y = b^p/a = 10/9
         with pytest.raises(RuntimeError, match="descending series: not converged after 2"):
-            series(Fraction(9, 10), 1, HALF, 6, max_terms=2)
+            series(Fraction(9, 10), 1, HALF, 6)
         # ascending branch (q_series_with_terms): y = 9/10
         with pytest.raises(RuntimeError, match="q_series: not converged after 2 terms"):
-            series(Fraction(10, 9), Fraction(81, 100), HALF, 6, max_terms=2)
+            series(Fraction(10, 9), Fraction(81, 100), HALF, 6)
 
 
 def test_series_boundary_rejected():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from catalankit import hyper
 from catalankit.exact import rising_factorial
 from catalankit.hyper import (
     HypConvergenceError,
@@ -162,9 +163,10 @@ def test_divergent_argument_rejected():
         gauss_2f1(0.5, 1.5, 2.5, 1.2)
 
 
-def test_convergence_budget_enforced():
-    with pytest.raises(HypConvergenceError):
-        pfq_series((0.5, 1.5), (2.5,), 0.999, max_terms=10)
+def test_convergence_budget_enforced(monkeypatch):
+    monkeypatch.setattr(hyper, "_MAX_TERMS", 10)
+    with pytest.raises(HypConvergenceError, match="not settled after 10 terms"):
+        pfq_series((0.5, 1.5), (2.5,), 0.999)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from catalankit import quad
 from catalankit.quad import (
     HalflineIntegrand,
     QuadratureError,
@@ -94,10 +95,11 @@ def test_exponent_validation():
         integrate_halfline(HalflineIntegrand(lambda t: t, 0.0, 0.9), tol=1e-8)
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(quad, "_MAX_EVALS", 45)
     g = _beta_integrand(0.5, 1.5, 1.0)
-    with pytest.raises(QuadratureError):
-        integrate_halfline(g, tol=1e-14, max_evals=45)
+    with pytest.raises(QuadratureError, match="evaluation budget 45 exhausted"):
+        integrate_halfline(g, tol=1e-14)
 
 
 @pytest.mark.parametrize(

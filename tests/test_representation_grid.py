@@ -37,3 +37,33 @@ def test_in_domain_rows_are_kept(grid):
     values = grid.evaluate_point(Fraction(3, 2), 2, 2, 1e-10)
     assert "hyp_unbounded" in values
     assert values["hyp_unbounded"] == pytest.approx(values["hyp_closed"], rel=1e-12)
+
+
+def test_values_are_kept_as_the_routes_return_them(grid):
+    # sqrt(4) is rational: the exact rows stay Fractions, as in `--rep all`
+    values = grid.evaluate_point(1, 4, 2, 1e-10)
+    assert values["double_factorial"] == Fraction(7, 1728)
+    assert isinstance(values["hyp_closed"], Fraction)
+    assert isinstance(values["quadrature"], float)
+
+
+def test_exact_values_past_float_range_are_compared_exactly(grid, capsys):
+    # at a = 0, b = 1e-300 the exact rows reach 1e+1050 by n = 3; they agree
+    assert grid.main(["--a", "0", "--b", "1e-300", "--nmax", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("4 grid points, threshold 1e-08\n")
+    assert "hyp_closed vs jacobi                0.000e+00" in out
+    assert out.endswith("all pairs within threshold\n")
+
+
+def test_a_failing_route_drops_out_as_in_the_cli(grid, capsys):
+    # at n = 1 the quadrature integrand divides by zero (skipped, as
+    # `--rep all` skips it); the float rows that overflow to inf agree
+    # with nothing, as in `max_pairwise_rel_diff`
+    assert grid.main(["--a", "1e-150", "--b", "2e-300", "--nmax", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "2 grid points, threshold 1e-08"
+    assert lines[2].startswith("gf_coefficient vs legendre_sec2           inf  ")
+    assert lines[2].endswith("FAIL")
+    assert all(line.endswith("ok") for line in lines[3:-2])
+    assert lines[-1] == "1 pair(s) above threshold"
