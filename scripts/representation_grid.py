@@ -2,12 +2,12 @@
 
 Every in-domain c2 representation of the command line table
 (`catalankit.cli.C2_REPS`, generating-function scale) is evaluated at
-each (a, b, n) grid point and compared pairwise; a representation that
-raises one of the command line's `ROW_ERRORS` there is left out, as
-`--rep all` skips its row. The summary table shows, for each pair of
-representations, the worst relative difference seen anywhere on the grid
-(`catalankit.reporting.max_pairwise_rel_diff`, as the command line
-measures it) and the point that produced it.
+each (a, b, n) grid point by the command line's row loop
+(`catalankit.cli.evaluate`) and compared pairwise; a row that loop skips
+is left out, as `--rep all` skips it. The summary table shows, for each
+pair of representations, the worst relative difference seen anywhere on
+the grid (`catalankit.reporting.max_pairwise_rel_diff`, as the command
+line measures it) and the point that produced it.
 Exit status is 1 if any pair exceeds the threshold.
 
 Usage:
@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from catalankit import Normalization
-from catalankit.cli import C2_REPS, ON_REQUEST, ROW_ERRORS
+from catalankit.cli import C2_REPS, ON_REQUEST, evaluate
 from catalankit.reporting import max_pairwise_rel_diff
 
 
@@ -33,15 +33,8 @@ def evaluate_point(a, b, n, quad_tol):
     values the routes return (a Fraction where the route is exact)."""
     x = argparse.Namespace(
         a=a, b=b, n=n, norm=Normalization.GENERATING_FUNCTION, quad_tol=quad_tol)
-    values = {}
-    for rep, build in C2_REPS.items():
-        if rep in ON_REQUEST:
-            continue
-        try:
-            values[rep] = build(x)["value"]
-        except ROW_ERRORS:
-            continue
-    return values
+    names = [rep for rep in C2_REPS if rep not in ON_REQUEST]
+    return {row.rep: row.value for row, error in evaluate(C2_REPS, names, x) if error is None}
 
 
 def main(argv=None):

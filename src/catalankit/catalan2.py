@@ -295,9 +295,10 @@ class TableCheckRow:
 # The (a, b) grid of the table check; the errata command reads it too.
 # Exact, so errata names its rows 1/2 and 3/10; c2_table_check takes floats.
 _TABLE_GRID = ((1, 1), (1, 4), (Fraction(1, 2), Fraction(1, 4)), (2, 1), (Fraction(3, 10), 2))
+_TABLE_TOL = 1e-10  # the table check's quadrature tolerance
 
 
-def c2_table_check(pairs=_TABLE_GRID, tol: float = 1e-10) -> list[TableCheckRow]:
+def c2_table_check(pairs=_TABLE_GRID) -> list[TableCheckRow]:
     """Ratio printed-table / quadrature for n = 0..5 over a small grid.
 
     Every ratio is expected to equal pi: the published table is
@@ -306,9 +307,8 @@ def c2_table_check(pairs=_TABLE_GRID, tol: float = 1e-10) -> list[TableCheckRow]
     """
     rows = []
     for a, b in pairs:
-        af, bf = _to_float(a), _to_float(b)
         for n in range(len(_PRINTED_TABLE)):
             printed = printed_table_value(a, b, n)
-            quad = c2_quadrature(a, b, n, tol=tol).value
-            rows.append(TableCheckRow(n, af, bf, printed, quad, printed / quad))
+            quad = c2_quadrature(a, b, n, tol=_TABLE_TOL).value
+            rows.append(TableCheckRow(n, _to_float(a), _to_float(b), printed, quad, printed / quad))
     return rows

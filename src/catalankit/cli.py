@@ -10,14 +10,14 @@ independent representations and compares them pairwise:
   errata      measured discrepancies in the published closed forms
   selftest    internal consistency suites against independent oracles
 
-c2, functional and q run `cmd_compare` over one ordered table per
-quantity (`C2_REPS`, `FUNCTIONAL_REPS`, `Q_REPS`). A representation is
-added by one table entry; the `--rep` choices, the `--rep all` order and
-scripts/representation_grid.py follow from the tables.
+c2, functional and q run `cmd_compare` over `_QUANTITIES`, per command its
+flags, its representation table (`C2_REPS`, `FUNCTIONAL_REPS`, `Q_REPS`)
+and its domain check, through `evaluate`, the one row loop. A table entry
+adds a representation to `--rep`, to `--rep all` and to the grid script.
 
-Exit status: 0 when everything requested agreed within tolerance, 1 on
-a tolerance or consistency failure, 2 on invalid input. Output is byte
-deterministic for identical invocations.
+Exit status: 0 when everything requested agreed within tolerance, 1 on a
+tolerance or consistency failure or a route failing at valid input, 2 on
+invalid input. Output is byte deterministic for identical invocations.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .functional import (
 from .quad import QuadratureError
 from .reporting import CompareReport, RepRow, format_float, format_scalar, render_report
 
-__all__ = ["main", "C2_REPS", "FUNCTIONAL_REPS", "Q_REPS", "ON_REQUEST", "ROW_ERRORS"]
+__all__ = ["main", "evaluate", "C2_REPS", "FUNCTIONAL_REPS", "Q_REPS", "ON_REQUEST", "ROW_ERRORS"]
 
 _SELFTEST_SEED = 20260816
 
@@ -87,9 +87,9 @@ def _parse_tol(text: str) -> float:
     return value
 
 
-def _invalid(message: str) -> int:
+def _error(message, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return 2
+    return code
 
 
 def _emit(report: CompareReport, fmt: str) -> None:
@@ -190,17 +190,25 @@ Q_REPS = {
 # Accepted by --rep, left out of `all`.
 ON_REQUEST = frozenset({"legendre_eq0b"})
 
-# A route's failures at valid inputs: under `all` its row is skipped with the reason.
-ROW_ERRORS = (ValueError, ZeroDivisionError, QuadratureError)
+# A route's failures at valid inputs: under `all` a skipped row with the
+# reason; alone, exit 2 on a ValueError (domain, float range), else exit 1.
+ROW_ERRORS = (ValueError, ZeroDivisionError, QuadratureError, hyper.HypConvergenceError)
 
-# Per command: the inputs echoed, in order, its representation table and
+# Per command: its help line, its number flags in flag and echo order as
+# (name, parser, default; None: required), its representation table and
 # the library's domain check for the inputs every representation shares.
 _QUANTITIES = {
-    "c2": (("a", "b", "n", "rep", "normalization", "tol"), C2_REPS,
-           lambda x: catalan2._check_domain(x.a, x.b, x.n)),
-    "functional": (("a", "b", "p", "n", "rep", "tol"), FUNCTIONAL_REPS,
-                   lambda x: functional._check_domain(x.a, x.b, x.p, x.n)),
-    "q": (("n", "y", "p", "rep", "tol"), Q_REPS, lambda x: exact._check_p(x.p)),
+    "c2": ("two-parameter family C2(n; a, b)",
+           (("a", _parse_number, None), ("b", _parse_number, None), ("n", _parse_nonneg_int, None)),
+           C2_REPS, lambda x: catalan2._check_domain(x.a, x.b, x.n)),
+    "functional": ("fractional-order family cf(n; a, b, p)",
+                   (("a", _parse_number, None), ("b", _parse_number, None),
+                    ("p", _parse_number, None), ("n", _parse_nonneg_int, None)),
+                   FUNCTIONAL_REPS, lambda x: functional._check_domain(x.a, x.b, x.p, x.n)),
+    "q": ("auxiliary series Q(n, y, p)",
+          (("n", _parse_nonneg_int, None), ("y", _parse_number, None),
+           ("p", _parse_number, Fraction(1, 2))),
+          Q_REPS, lambda x: exact._check_p(x.p)),
 }
 
 _PAPER_NOTE = (
@@ -210,35 +218,35 @@ _PAPER_NOTE = (
 )
 
 
+def evaluate(reps, names, x) -> Iterator[tuple[RepRow, Exception | None]]:
+    """(row, error) per representation in `names`, built from `x`; a route
+    raising one of ROW_ERRORS gives a skipped row with the reason."""
+    for rep in names:
+        try:
+            yield RepRow(rep, **reps[rep](x)), None
+        except ROW_ERRORS as exc:
+            yield RepRow(rep, note=str(exc)), exc
+
+
 def cmd_compare(args) -> int:
     """Evaluate one quantity by the representations `--rep` selects."""
-    echo, reps, check_domain = _QUANTITIES[args.command]
+    _, flags, reps, check_domain = _QUANTITIES[args.command]
     try:
         check_domain(args)
     except ValueError as exc:
-        return _invalid(str(exc))
-    inputs = tuple((name, getattr(args, name)) for name in echo)
+        return _error(exc, 2)
+    echo = (*(name for name, _, _ in flags), "rep", "normalization", "tol")
+    inputs = tuple((name, getattr(args, name)) for name in echo if name in args)
     norm = Normalization(getattr(args, "normalization", "gf"))
     x = argparse.Namespace(**vars(args), norm=norm, quad_tol=_quad_tol(args.tol))
-    if args.rep != "all":
-        try:
-            row = RepRow(args.rep, **reps[args.rep](x))
-        except (ValueError, ZeroDivisionError) as exc:
-            return _invalid(str(exc))
-        except QuadratureError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        _emit(CompareReport(args.command, inputs, (row,)), args.format)
-        return 0
+    single = args.rep != "all"
+    names = (args.rep,) if single else [rep for rep in reps if rep not in ON_REQUEST]
     rows = []
-    for rep, build in reps.items():
-        if rep in ON_REQUEST:
-            continue
-        try:
-            rows.append(RepRow(rep, **build(x)))
-        except ROW_ERRORS as exc:
-            rows.append(RepRow(rep, note=str(exc)))
-    notes = (_PAPER_NOTE,) if norm is Normalization.PRINTED_PI else ()
+    for row, error in evaluate(reps, names, x):
+        if single and error is not None:
+            return _error(error, 2 if isinstance(error, ValueError) else 1)
+        rows.append(row)
+    notes = (_PAPER_NOTE,) if norm is Normalization.PRINTED_PI and not single else ()
     report = CompareReport(args.command, inputs, tuple(rows), notes)
     _emit(report, args.format)
     return 0 if report.within(args.tol) else 1
@@ -258,7 +266,7 @@ def _errata_findings(tol: float) -> tuple[list[RepRow], bool]:
         rows.append(RepRow(name, value, compare=False, note=verdict + text))
 
     for a, b in catalan2._TABLE_GRID:
-        worst = max(r.ratio_error for r in catalan2.c2_table_check(((a, b),), tol=1e-10))
+        worst = max(r.ratio_error for r in catalan2.c2_table_check(((a, b),)))
         add(
             f"table_pi(a={format_scalar(a)},b={format_scalar(b)})",
             worst,
@@ -481,7 +489,7 @@ _EULER_SETS = (
 def _suite_euler_integral(quad_tol: float) -> Iterator[str]:
     for alpha, beta, gamma, z in _EULER_SETS:
         try:
-            ok = quad.euler_integral_2f1_check(alpha, beta, gamma, z, tol=1e-9)
+            ok = quad.euler_integral_2f1_check(alpha, beta, gamma, z)
         except QuadratureError as exc:
             yield f"({alpha}, {beta}, {gamma}, {z}): {exc}"
             continue
@@ -618,37 +626,19 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(run=cmd_catalan)
 
-    p = sub.add_parser("c2", help="two-parameter family C2(n; a, b)")
-    p.add_argument("--a", type=_parse_number, required=True)
-    p.add_argument("--b", type=_parse_number, required=True)
-    p.add_argument("--n", type=_parse_nonneg_int, required=True)
-    p.add_argument("--rep", choices=(*C2_REPS, "all"), default="all")
-    p.add_argument(
-        "--normalization", choices=("gf", "paper"), default="gf",
-        help="gf: generating-function scale; paper: printed scale (x pi)",
-    )
-    _add_tol(p)
-    _add_format(p)
-    p.set_defaults(run=cmd_compare)
-
-    p = sub.add_parser("functional", help="fractional-order family cf(n; a, b, p)")
-    p.add_argument("--a", type=_parse_number, required=True)
-    p.add_argument("--b", type=_parse_number, required=True)
-    p.add_argument("--p", type=_parse_number, required=True)
-    p.add_argument("--n", type=_parse_nonneg_int, required=True)
-    p.add_argument("--rep", choices=(*FUNCTIONAL_REPS, "all"), default="all")
-    _add_tol(p)
-    _add_format(p)
-    p.set_defaults(run=cmd_compare)
-
-    p = sub.add_parser("q", help="auxiliary series Q(n, y, p)")
-    p.add_argument("--n", type=_parse_nonneg_int, required=True)
-    p.add_argument("--y", type=_parse_number, required=True)
-    p.add_argument("--p", type=_parse_number, default=Fraction(1, 2))
-    p.add_argument("--rep", choices=(*Q_REPS, "all"), default="all")
-    _add_tol(p)
-    _add_format(p)
-    p.set_defaults(run=cmd_compare)
+    for command, (help_line, flags, reps, _) in _QUANTITIES.items():
+        p = sub.add_parser(command, help=help_line)
+        for name, parse, default in flags:
+            p.add_argument(f"--{name}", type=parse, default=default, required=default is None)
+        p.add_argument("--rep", choices=(*reps, "all"), default="all")
+        if command == "c2":
+            p.add_argument(
+                "--normalization", choices=("gf", "paper"), default="gf",
+                help="gf: generating-function scale; paper: printed scale (x pi)",
+            )
+        _add_tol(p)
+        _add_format(p)
+        p.set_defaults(run=cmd_compare)
 
     p = sub.add_parser("errata", help="measure the published-form discrepancies")
     _add_tol(p)

@@ -216,16 +216,16 @@ def cf_via_q(a, b, p, n: int):
     return _to_float(value) / (_to_float(a) * _float_pow(_to_float(b), n, "b^n") * factorial(n))
 
 
-def cf_half_reduction_check(a, b, n: int, tol: float = 1e-10) -> bool:
-    """Does cf at p = 1/2 reproduce C2(n; a, b)?
+# Relative tolerance of cf_half_reduction_check when a side is a float.
+_HALF_TOL = 1e-10
 
-    Compares cf_double_sum against the terminating closed form of C2;
-    when both sides come out as Fractions the comparison is exact and
-    tol is irrelevant.
-    """
+
+def cf_half_reduction_check(a, b, n: int) -> bool:
+    """Does cf at p = 1/2 reproduce C2(n; a, b)? Compares cf_double_sum
+    with the terminating closed form of C2: equal when both sides are
+    Fractions, else within _HALF_TOL relative."""
     lhs = cf_double_sum(a, b, Fraction(1, 2), n)
     rhs = c2_hyp_closed(a, b, n)
     if _is_exact(lhs, rhs):
         return lhs == rhs
-    lhs, rhs = _to_float(lhs), _to_float(rhs)
-    return abs(lhs - rhs) <= tol * abs(rhs)
+    return abs(_to_float(lhs) - _to_float(rhs)) <= _HALF_TOL * abs(_to_float(rhs))

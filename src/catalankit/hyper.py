@@ -61,17 +61,20 @@ def _nonpositive_int(x) -> int | None:
 def _sum_terminating(upper, lower, z, k_max: int) -> Fraction:
     """Exact rational sum of the series through index k_max.
 
-    Float inputs are converted to the dyadic rationals they already are,
-    so the only rounding in a terminating evaluation is the caller's
-    final one. With upper u_i = un_i/ud_i, lower
-    v_j = vn_j/vd_j and z = zn/zd as integer pairs, term k+1 over term k
-    is P_k/Q_k with integers P_k = prod_i (un_i + k ud_i) * zn * prod_j vd_j
-    and Q_k = (k+1) prod_j (vn_j + k vd_j) * zd * prod_i ud_i. The term
+    Float inputs are converted to the dyadic rationals they already are
+    (a float z of inf or nan has none and is refused), so the only rounding
+    in a terminating evaluation is the caller's final one. With upper
+    u_i = un_i/ud_i, lower v_j = vn_j/vd_j and z = zn/zd as integer pairs,
+    term k+1 over term k is P_k/Q_k with integers
+    P_k = prod_i (un_i + k ud_i) * zn * prod_j vd_j and
+    Q_k = (k+1) prod_j (vn_j + k vd_j) * zd * prod_i ud_i. The term
     and the partial sum are kept as integer numerators over one running
     denominator, the product of the Q_k, so no step takes a gcd; only the
     result becomes a Fraction. The early stop tests the upper factors
     alone, so z = 0 still reaches the lower-parameter pole check.
     """
+    if isinstance(z, float) and not math.isfinite(z):
+        raise HypergeometricError(f"argument z = {z} is not finite")
     up = [Fraction(u).as_integer_ratio() for u in upper]
     lo = [Fraction(v).as_integer_ratio() for v in lower]
     zn, zd = Fraction(z).as_integer_ratio()

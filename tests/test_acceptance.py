@@ -133,7 +133,7 @@ def test_04_printed_table_pi_ratio(capsys):
             for a in (0.3, 0.5, 1.0, 2.0, 5.0)
             for b in (0.25, 1.0, 4.0)
         ]
-        rows = c2_table_check(pairs, tol=1e-10)
+        rows = c2_table_check(pairs)
         assert len(rows) == len(pairs) * 6
         assert max(row.ratio_error for row in rows) <= 1e-8
 
@@ -175,7 +175,7 @@ def test_07_half_power_reduction(capsys):
         for a, b in product((1, 2), (1, 4)):
             for n in range(9):
                 assert cf_double_sum(a, b, half, n) == c2_double_factorial_sum(a, b, n)
-                assert cf_half_reduction_check(a, b, n, tol=1e-8)
+                assert cf_half_reduction_check(a, b, n)
 
 
 def test_08_q_routes_and_printed_tables(capsys):
@@ -258,4 +258,4 @@ def test_10_quadrature_calibration(capsys):
             (1.7, 3.0, 2.4, 0.15),
         )
         for alpha, beta, gamma, z in euler_sets:
-            assert euler_integral_2f1_check(alpha, beta, gamma, z, tol=1e-9)
+            assert euler_integral_2f1_check(alpha, beta, gamma, z)

@@ -119,7 +119,7 @@ def test_paper_normalization_is_pi_times_gf():
 
 
 def test_printed_table_against_quadrature():
-    rows = c2_table_check(tol=1e-10)
+    rows = c2_table_check()
     assert len(rows) == 30
     assert max(r.ratio_error for r in rows) < 1e-10
 

@@ -4,12 +4,13 @@ import csv
 import io
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 import catalankit.exact
-from catalankit.cli import main
+from catalankit.cli import _QUANTITIES, main
 
 
 def run_cli(capsys, *argv):
@@ -334,6 +335,58 @@ def test_on_request_rep_is_accepted_but_not_in_all(capsys):
     assert code == 0
     (row,) = json.loads(out)["results"]
     assert row["rep"] == "legendre_eq0b" and row["note"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("c2", ["a", "b", "n"]),
+    ("functional", ["a", "b", "p", "n"]),
+    ("q", ["n", "y", "p"]),
+])
+def test_flags_and_echo_follow_the_quantity_table(capsys, command, flags):
+    assert [name for name, _, _ in _QUANTITIES[command][1]] == flags
+    rest = ["rep", "normalization", "tol"] if command == "c2" else ["rep", "tol"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    options = capsys.readouterr().out.split("options:\n")[1]
+    listed = [line.split()[0] for line in options.splitlines() if line.startswith("  --")]
+    assert listed == [f"--{name}" for name in [*flags, *rest, "format"]]
+    code, out, _ = run_cli(capsys, command, *REGISTRY_POINTS[command])
+    assert code == 0
+    header = out.splitlines()[0].split()
+    assert header[0] == command
+    assert [item.split("=")[0] for item in header[1:]] == [*flags, *rest]
+
+
+@pytest.mark.parametrize("argv, code, err, skipped", [
+    # a convergent series that runs out of terms at valid input: exit 1
+    # alone, a skipped row with the reason under `all`
+    (("c2", "--a", "1e3", "--b", "1/3", "--n", "0", "--rep", "hyp_unbounded"),
+     1, "error: series not settled after 100000 terms\n", None),
+    (("c2", "--a", "1e3", "--b", "1/3", "--n", "0"),
+     0, "", ("hyp_unbounded", "series not settled after 100000 terms")),
+    # valid input; the float route divides by an underflowed 0
+    (("c2", "--a", "1e-200", "--b", "1e-300", "--n", "2", "--rep", "legendre_sec2"),
+     1, "error: float division by zero\n", None),
+    # the terminating 2F1's argument overflows to -inf: outside the float range
+    (("c2", "--a", "1e300", "--b", "2e-300", "--n", "0", "--rep", "hyp_closed"),
+     2, "error: argument z = -inf is not finite\n", None),
+    (("c2", "--a", "1e300", "--b", "2e-300", "--n", "0"),
+     1, "", ("hyp_closed", "argument z = -inf is not finite")),
+], ids=["series_budget_alone", "series_budget_in_all", "zero_division_alone",
+        "infinite_argument_alone", "infinite_argument_in_all"])
+def test_row_errors_end_in_an_exit_code_and_a_message(capsys, argv, code, err, skipped):
+    start = time.perf_counter()
+    got, out, got_err = run_cli(capsys, *argv, "--format", "json")
+    assert time.perf_counter() - start < 0.3
+    assert (got, got_err) == (code, err)
+    assert "Traceback" not in got_err
+    if skipped is None:
+        assert out == ""
+    else:
+        rep, note = skipped
+        rows = {row["rep"]: row for row in json.loads(out)["results"]}
+        assert rows[rep]["skipped"] is True and rows[rep]["note"] == note
 
 
 def test_exit_1_on_tolerance_failure(capsys):

@@ -163,6 +163,15 @@ def test_divergent_argument_rejected():
         gauss_2f1(0.5, 1.5, 2.5, 1.2)
 
 
+@pytest.mark.parametrize("z", [float("-inf"), float("inf"), float("nan")])
+def test_terminating_sum_refuses_a_float_argument_that_is_not_finite(z):
+    # a ValueError naming z, not Fraction's OverflowError or ValueError
+    with pytest.raises(HypergeometricError, match=f"argument z = {z} is not finite"):
+        gauss_2f1(-2, 1.5, 3, z)
+    # an exact argument past the float range is still summed exactly
+    assert gauss_2f1(-1, 1, 1, Fraction(10**400)) == 1 - 10**400
+
+
 def test_convergence_budget_enforced(monkeypatch):
     monkeypatch.setattr(hyper, "_MAX_TERMS", 10)
     with pytest.raises(HypConvergenceError, match="not settled after 10 terms"):

@@ -118,4 +118,4 @@ def test_budget_exhaustion_raises(monkeypatch):
     ],
 )
 def test_euler_integral_cross_check(alpha, beta, gamma, z):
-    assert euler_integral_2f1_check(alpha, beta, gamma, z, tol=1e-9)
+    assert euler_integral_2f1_check(alpha, beta, gamma, z)
