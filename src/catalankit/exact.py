@@ -47,6 +47,11 @@ def _is_exact(*xs) -> bool:
     return all(isinstance(x, (int, Fraction)) for x in xs)
 
 
+def _float_range_error(name: str, exp10: float) -> ValueError:
+    """The one reason a value cannot be a float: `name` is about 10^exp10."""
+    return ValueError(f"{name} about 1e{exp10:+.0f} is outside float range")
+
+
 def _to_float(x) -> float:
     """float(x), with a ValueError that gives the reason when x is an
     exact value beyond the float range (float() raises OverflowError)."""
@@ -55,7 +60,7 @@ def _to_float(x) -> float:
     except OverflowError:
         q = Fraction(x)
         exp10 = math.log10(abs(q.numerator)) - math.log10(q.denominator)
-        raise ValueError(f"value about 1e{exp10:+.0f} is outside float range") from None
+        raise _float_range_error("value", exp10) from None
 
 
 def _float_pow(base, exponent, name: str):
@@ -64,8 +69,7 @@ def _float_pow(base, exponent, name: str):
     try:
         return base ** exponent
     except OverflowError:
-        exp10 = exponent * math.log10(base)
-        raise ValueError(f"{name} about 1e{exp10:+.0f} is outside float range") from None
+        raise _float_range_error(name, exponent * math.log10(base)) from None
 
 
 def _exact_or_float(value, *inputs):

@@ -28,8 +28,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .catalan2 import _check_domain as _check_c2_domain, c2_hyp_closed
-from .exact import _check_p, _exact_or_float, _float_pow, _is_exact, _to_float
-from .exact import exact_pow, rising_factorial
+from .exact import _check_p, _exact_or_float, _float_pow, _float_range_error, _is_exact
+from .exact import _to_float, exact_pow, rising_factorial
 from .qfunc import _pochhammer_series, q_series_with_terms, q_stirling
 from .quad import HalflineIntegrand, QuadResult, integrate_halfline
 
@@ -64,8 +64,7 @@ def _series_ratio(a, b, p) -> Fraction:
         return power / Fraction(a)
     y = _to_float(power) / _to_float(a)
     if math.isinf(y):
-        exp10 = math.log10(power) - math.log10(a)
-        raise ValueError(f"b^p/a about 1e{exp10:+.0f} is outside float range")
+        raise _float_range_error("b^p/a", math.log10(power) - math.log10(a))
     return Fraction(y)
 
 
@@ -105,8 +104,10 @@ def cf_double_sum(a, b, p, n: int):
     The inner sum is the k-th finite difference of the degree-n
     polynomial m -> (-pm)_n, so terms with k > n vanish and the outer
     sum is finite. Inner sums cancel heavily and are always accumulated
-    in exact rational arithmetic; the result is a Fraction when a, b, p
-    and b^p are all rational.
+    in exact rational arithmetic, the outer sum in floats when b^p is
+    irrational (weight = 1/(1 + a/b^p) lies in (0, 1], so its powers do
+    not overflow); the result is a Fraction when a, b, p and b^p are all
+    rational.
     """
     _check_domain(a, b, p, n)
     power = _b_to_p(b, p)
@@ -117,19 +118,14 @@ def cf_double_sum(a, b, p, n: int):
         for m in range(k + 1):
             inner += (-1) ** m * comb(k, m) * rising_factorial(-pf * m, n)
         inner_sums.append(inner)
-    if _is_exact(power):
-        af, bf = Fraction(a), Fraction(b)
-        weight = 1 / (1 + af / power)
-        total = sum(
-            (inner * weight**k for k, inner in enumerate(inner_sums)), Fraction(0)
-        )
-        return _exact_or_float(total / ((af + power) * factorial(n) * bf**n), a, b, p)
-    af, bf = _to_float(a), _to_float(b)
-    weight = 1.0 / (1.0 + af / power)
-    total = math.fsum(
-        _to_float(inner) * _float_pow(weight, k, "weight^k") for k, inner in enumerate(inner_sums)
-    )
-    return total / ((af + power) * factorial(n) * _float_pow(bf, n, "b^n"))
+    exact = _is_exact(power)
+    cast = Fraction if exact else _to_float
+    af, bf = cast(a), cast(b)
+    weight = 1 / (1 + af / power)
+    terms = (cast(inner) * weight**k for k, inner in enumerate(inner_sums))
+    total = sum(terms, Fraction(0)) if exact else math.fsum(terms)
+    value = total / ((af + power) * factorial(n) * _float_pow(bf, n, "b^n"))
+    return _exact_or_float(value, a, b, p)
 
 
 @dataclass(frozen=True)
@@ -207,13 +203,13 @@ def cf_via_q(a, b, p, n: int):
     if not a > 0:
         raise ValueError("cf_via_q needs a > 0")
     power = _b_to_p(b, p)
-    y = power / Fraction(a) if _is_exact(power) else _to_float(power) / _to_float(a)
+    cast = Fraction if _is_exact(power) else _to_float
+    af, bf = cast(a), cast(b)
+    y = power / af
     if y > 1:
         raise ValueError(f"cf_via_q needs b^p <= a, got y = {_to_float(y)!r}")
-    value = q_stirling(n, Fraction(y), Fraction(p))
-    if _is_exact(power):
-        return _exact_or_float(value / (Fraction(a) * Fraction(b) ** n * factorial(n)), a, b, p)
-    return _to_float(value) / (_to_float(a) * _float_pow(_to_float(b), n, "b^n") * factorial(n))
+    value = cast(q_stirling(n, Fraction(y), Fraction(p)))
+    return _exact_or_float(value / (af * _float_pow(bf, n, "b^n") * factorial(n)), a, b, p)
 
 
 # Relative tolerance of cf_half_reduction_check when a side is a float.

@@ -122,18 +122,21 @@ class CompareReport:
         return diff is None or diff <= tol
 
 
+# The columns of a report row: the CSV order; JSON sorts them, and the
+# text table drops "skipped", which shows in its value column instead.
+_COLUMNS = ("rep", "value", "err", "exact", "terms", "note", "skipped")
+
+
+def _cells(row: RepRow) -> list:
+    return [getattr(row, column) for column in _COLUMNS]
+
+
 def _json_atom(x) -> str:
     if x is None:
         return "null"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
+    if isinstance(x, (str, Fraction)):
         return json.dumps(str(x))
-    if isinstance(x, float):
-        return format_float(x)
-    return json.dumps(str(x))
+    return format_scalar(x)
 
 
 def _json_object(pairs) -> str:
@@ -141,79 +144,46 @@ def _json_object(pairs) -> str:
     return "{" + body + "}"
 
 
-def _row_json(row: RepRow) -> str:
-    return _json_object(
-        [
-            ("rep", _json_atom(row.rep)),
-            ("value", _json_atom(row.value)),
-            ("err", _json_atom(row.err)),
-            ("exact", _json_atom(row.exact)),
-            ("terms", _json_atom(row.terms)),
-            ("note", _json_atom(row.note)),
-            ("skipped", _json_atom(row.skipped)),
-        ]
-    )
-
-
 def _report_json(report: CompareReport) -> str:
-    results = "[" + ",".join(_row_json(r) for r in report.rows) + "]"
+    rows = (_json_object(zip(_COLUMNS, map(_json_atom, _cells(r)))) for r in report.rows)
     notes = "[" + ",".join(_json_atom(n) for n in report.notes) + "]"
     return _json_object(
         [
             ("command", _json_atom(report.command)),
             ("input", _json_object([(k, _json_atom(v)) for k, v in report.inputs])),
-            ("results", results),
+            ("results", "[" + ",".join(rows) + "]"),
             ("max_pairwise_rel_diff", _json_atom(report.max_pairwise_rel_diff)),
             ("notes", notes),
         ]
     )
 
 
+def _text_cells(row: RepRow) -> list[str]:
+    rep, value, err, _, terms, note, _ = map(format_scalar, _cells(row))
+    if row.skipped:
+        return [rep, "skipped", err, "", terms, note]
+    return [rep, value, err, "yes" if row.exact else "no", terms, note]
+
+
 def _report_text(report: CompareReport) -> str:
-    lines = []
     echo = " ".join(f"{k}={format_scalar(v)}" for k, v in report.inputs)
-    lines.append(f"{report.command}  {echo}".rstrip())
-    header = ("rep", "value", "err", "exact", "terms", "note")
-    table = [header]
-    for r in report.rows:
-        table.append(
-            (
-                r.rep,
-                "skipped" if r.skipped else format_scalar(r.value),
-                "" if r.err is None else format_float(r.err),
-                "yes" if r.exact else ("" if r.skipped else "no"),
-                "" if r.terms is None else str(r.terms),
-                r.note,
-            )
-        )
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
+    lines = [f"{report.command}  {echo}".rstrip()]
+    table = [_COLUMNS[:-1], *map(_text_cells, report.rows)]
+    widths = [max(map(len, column)) for column in zip(*table)]
     for row in table:
-        rendered = "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        lines.append(rendered)
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     diff = report.max_pairwise_rel_diff
     if diff is not None:
         lines.append(f"max_pairwise_rel_diff {format_float(diff)}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
+    lines.extend(f"note: {note}" for note in report.notes)
     return "\n".join(lines)
 
 
 def _report_csv(report: CompareReport) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["rep", "value", "err", "exact", "terms", "note", "skipped"])
-    for r in report.rows:
-        writer.writerow(
-            [
-                r.rep,
-                format_scalar(r.value),
-                "" if r.err is None else format_float(r.err),
-                "true" if r.exact else "false",
-                "" if r.terms is None else r.terms,
-                r.note,
-                "true" if r.skipped else "false",
-            ]
-        )
+    writer.writerow(_COLUMNS)
+    writer.writerows(map(format_scalar, _cells(r)) for r in report.rows)
     return out.getvalue().rstrip("\n")
 
 

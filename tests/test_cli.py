@@ -372,9 +372,15 @@ def test_flags_and_echo_follow_the_quantity_table(capsys, command, flags):
     (("c2", "--a", "1e300", "--b", "2e-300", "--n", "0", "--rep", "hyp_closed"),
      2, "error: argument z = -inf is not finite\n", None),
     (("c2", "--a", "1e300", "--b", "2e-300", "--n", "0"),
-     1, "", ("hyp_closed", "argument z = -inf is not finite")),
+     0, "", ("hyp_closed", "argument z = -inf is not finite")),
+    # so does the double-factorial sum's base 1 + a/sqrt(b); its row once read 0
+    (("c2", "--a", "1e300", "--b", "2e-300", "--n", "0", "--rep", "double_factorial"),
+     2, "error: 1+a/sqrt(b) about 1e+450 is outside float range\n", None),
+    (("c2", "--a", "1e300", "--b", "2e-300", "--n", "0"),
+     0, "", ("double_factorial", "1+a/sqrt(b) about 1e+450 is outside float range")),
 ], ids=["series_budget_alone", "series_budget_in_all", "zero_division_alone",
-        "infinite_argument_alone", "infinite_argument_in_all"])
+        "infinite_argument_alone", "infinite_argument_in_all",
+        "infinite_base_alone", "infinite_base_in_all"])
 def test_row_errors_end_in_an_exit_code_and_a_message(capsys, argv, code, err, skipped):
     start = time.perf_counter()
     got, out, got_err = run_cli(capsys, *argv, "--format", "json")

@@ -157,6 +157,10 @@ def test_irrational_power_takes_float_path():
     assert isinstance(v, float)
     assert v == pytest.approx(cf_quadrature(1, 2, Fraction(1, 3), 2, tol=1e-12).value,
                               rel=1e-10)
+    # via_q too, at y = 2^(1/3)/3 < 1
+    w = cf_via_q(3, 2, Fraction(1, 3), 4)
+    assert isinstance(w, float)
+    assert w == pytest.approx(cf_double_sum(3, 2, Fraction(1, 3), 4), rel=1e-12)
 
 
 @given(
