@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from catalankit import Normalization
-from catalankit.cli import C2_REPS, ON_REQUEST, evaluate
+from catalankit.cli import C2_REPS, ON_REQUEST, _quad_tol, evaluate
 from catalankit.reporting import max_pairwise_rel_diff
 
 
@@ -46,14 +46,14 @@ def main(argv=None):
         Fraction(1, 4), Fraction(1), Fraction(4)))
     parser.add_argument("--nmax", type=int, default=12)
     parser.add_argument("--threshold", type=float, default=1e-8)
-    parser.add_argument("--quad-tol", type=float, default=1e-10)
     args = parser.parse_args(argv)
 
+    quad_tol = _quad_tol(args.threshold)  # as the command line derives it from --tol
     worst = {}  # (rep, rep) -> (diff, a, b, n)
     points = 0
     for a, b in product(args.a, args.b):
         for n in range(args.nmax + 1):
-            values = evaluate_point(a, b, n, args.quad_tol)
+            values = evaluate_point(a, b, n, quad_tol)
             points += 1
             for left, right in combinations(sorted(values), 2):
                 diff = max_pairwise_rel_diff((values[left], values[right]))

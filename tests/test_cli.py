@@ -9,7 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+import catalankit.cli
 import catalankit.exact
+import catalankit.hyper
+import catalankit.qfunc
+import catalankit.quad
 from catalankit.cli import _QUANTITIES, main
 
 
@@ -395,6 +399,57 @@ def test_row_errors_end_in_an_exit_code_and_a_message(capsys, argv, code, err, s
         assert rows[rep]["skipped"] is True and rows[rep]["note"] == note
 
 
+SERIES_BUDGET_ERROR = "q_series: not converged after 2 terms"
+
+# Each route's work budget, made small enough to run out at an ordinary
+# point: (module, budget, its value, the argv without --rep, the row it
+# fails, the message naming the budget).
+BUDGETS = [
+    (catalankit.qfunc, "_MAX_TERMS", 2, ("q", "--n", "3", "--y", "1/2"),
+     "series", SERIES_BUDGET_ERROR),
+    (catalankit.hyper, "_MAX_TERMS", 10, ("c2", "--a", "3/2", "--b", "2", "--n", "2"),
+     "hyp_unbounded", "series not settled after 10 terms"),
+    (catalankit.quad, "_MAX_EVALS", 45,
+     ("c2", "--a", "1", "--b", "4", "--n", "2", "--tol", "1e-12"),
+     "quadrature", "evaluation budget 45 exhausted"),
+]
+
+
+@pytest.mark.parametrize("module, budget, value, argv, rep, message", BUDGETS,
+                         ids=["series_terms", "hyp_terms", "quad_evals"])
+def test_an_exhausted_budget_is_a_route_failure(capsys, monkeypatch, module, budget,
+                                                value, argv, rep, message):
+    monkeypatch.setattr(module, budget, value)
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    row = next(row for row in json.loads(out)["results"] if row["rep"] == rep)
+    assert row["skipped"] is True and row["note"].startswith(message)
+    code, out, err = run_cli(capsys, *argv, "--rep", rep)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("module, budget, value, argv, out, err", [
+    (catalankit.hyper, "_MAX_TERMS", 10, ("selftest", "--suite", "euler_integral"),
+     ["euler_integral: FAIL", "  HypConvergenceError: series not settled after 10 terms",
+      "0/1 suites passed"], ""),
+    (catalankit.qfunc, "_MAX_TERMS", 2, ("selftest", "--suite", "functional_consistency"),
+     ["functional_consistency: FAIL", f"  RuntimeError: {SERIES_BUDGET_ERROR}",
+      "0/1 suites passed"], ""),
+    (catalankit.qfunc, "_MAX_TERMS", 2, ("errata",), [], f"error: {SERIES_BUDGET_ERROR}\n"),
+    (catalankit.qfunc, "_MAX_TERMS", 2,
+     ("functional", "--a", "2", "--b", "1/2", "--p", "1/3", "--n", "3", "--rep", "series"),
+     [], f"error: {SERIES_BUDGET_ERROR}\n"),
+], ids=["selftest_euler_integral", "selftest_functional_consistency", "errata",
+        "functional_series_alone"])
+def test_selftest_and_errata_report_a_failing_route(capsys, monkeypatch, module, budget,
+                                                    value, argv, out, err):
+    # each of these once ended in a traceback out of main
+    monkeypatch.setattr(module, budget, value)
+    code, got_out, got_err = run_cli(capsys, *argv)
+    assert (code, got_out.splitlines(), got_err) == (1, out, err)
+
+
 def test_exit_1_on_tolerance_failure(capsys):
     # representations agree to ~1e-16 but not to 1e-30
     code, out, _ = run_cli(capsys, "q", "--n", "3", "--y", "1/2",
@@ -466,6 +521,11 @@ def test_selftest_all_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "10/10 suites passed" in out
+
+
+def test_selftest_integrates_at_the_rule_for_the_default_tol():
+    default_tol = catalankit.cli._build_parser().parse_args(["errata"]).tol
+    assert catalankit.cli._SELFTEST_QUAD_TOL == catalankit.cli._quad_tol(default_tol)
 
 
 def test_selftest_subset(capsys):

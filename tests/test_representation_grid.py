@@ -67,3 +67,17 @@ def test_a_failing_route_drops_out_as_in_the_cli(grid, capsys):
     assert lines[2].endswith("FAIL")
     assert all(line.endswith("ok") for line in lines[3:-2])
     assert lines[-1] == "1 pair(s) above threshold"
+
+
+def test_quadrature_tolerance_follows_the_threshold(grid, monkeypatch, capsys):
+    # as the command line derives it from --tol: 1e-10 at the default 1e-8
+    seen = []
+    real = grid.evaluate_point
+    monkeypatch.setattr(grid, "evaluate_point",
+                        lambda a, b, n, quad_tol: seen.append(quad_tol) or real(a, b, n, quad_tol))
+    for threshold, quad_tol in ((None, 1e-10), ("1e-11", 1e-13)):
+        seen.clear()
+        argv = ["--a", "1", "--b", "4", "--nmax", "1"]
+        assert grid.main(argv + (["--threshold", threshold] if threshold else [])) == 0
+        assert seen and seen == [pytest.approx(quad_tol, rel=1e-12)] * len(seen)
+    capsys.readouterr()
