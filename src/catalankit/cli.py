@@ -31,15 +31,7 @@ from fractions import Fraction
 
 from . import catalan2, exact, functional, hyper, qfunc, quad
 from .catalan2 import LegendreVariant, Normalization
-from .functional import (
-    cf_double_sum,
-    cf_half_reduction_check,
-    cf_quadrature,
-    cf_series,
-    cf_series_as_printed,
-    cf_series_detailed,
-    cf_via_q,
-)
+from .functional import cf_series_detailed  # perfbench's tracer self-test reads it here
 from .reporting import CompareReport, RepRow, format_float, format_scalar, render_report
 
 __all__ = ["main", "evaluate", "C2_REPS", "FUNCTIONAL_REPS", "Q_REPS", "ON_REQUEST", "ROW_ERRORS"]
@@ -92,10 +84,6 @@ def _error(message, code: int) -> int:
     return code
 
 
-def _emit(report: CompareReport, fmt: str) -> None:
-    print(render_report(report, fmt))
-
-
 def _quad_tol(compare_tol: float) -> float:
     """Integration tolerance two decades below the comparison tolerance."""
     return min(1e-10, max(1e-14, compare_tol / 100.0))
@@ -117,7 +105,7 @@ def cmd_catalan(args) -> int:
         rows=tuple(rows),
         notes=notes,
     )
-    _emit(report, args.format)
+    print(render_report(report, args.format))
     return 0 if agreed else 1
 
 
@@ -163,10 +151,10 @@ C2_REPS = {
 }
 
 FUNCTIONAL_REPS = {
-    "double_sum": lambda x: dict(value=cf_double_sum(x.a, x.b, x.p, x.n)),
+    "double_sum": lambda x: dict(value=functional.cf_double_sum(x.a, x.b, x.p, x.n)),
     "series": lambda x: _series(cf_series_detailed(x.a, x.b, x.p, x.n)),
-    "quadrature": lambda x: _quad(cf_quadrature(x.a, x.b, x.p, x.n, tol=x.quad_tol)),
-    "via_q": lambda x: dict(value=cf_via_q(x.a, x.b, x.p, x.n)),
+    "quadrature": lambda x: _quad(functional.cf_quadrature(x.a, x.b, x.p, x.n, tol=x.quad_tol)),
+    "via_q": lambda x: dict(value=functional.cf_via_q(x.a, x.b, x.p, x.n)),
 }
 
 
@@ -249,7 +237,7 @@ def cmd_compare(args) -> int:
         rows.append(row)
     notes = (_PAPER_NOTE,) if norm is Normalization.PRINTED_PI and not single else ()
     report = CompareReport(args.command, inputs, tuple(rows), notes)
-    _emit(report, args.format)
+    print(render_report(report, args.format))
     return 0 if report.within(args.tol) else 1
 
 
@@ -267,7 +255,7 @@ def _errata_findings(tol: float) -> tuple[list[RepRow], bool]:
         rows.append(RepRow(name, value, compare=False, note=verdict + text))
 
     for a, b in catalan2._TABLE_GRID:
-        worst = max(r.ratio_error for r in catalan2.c2_table_check(((a, b),)))
+        worst = max(catalan2.c2_table_check(((a, b),)))
         add(
             f"table_pi(a={format_scalar(a)},b={format_scalar(b)})",
             worst,
@@ -280,8 +268,8 @@ def _errata_findings(tol: float) -> tuple[list[RepRow], bool]:
     for a, b in ((2, 1), (1, 4)):
         worst_quad = 0.0
         for n in range(1, 5):
-            printed = cf_series_as_printed(a, b, half, n)
-            corrected = cf_series(a, b, half, n)
+            printed = functional.cf_series_as_printed(a, b, half, n)
+            corrected = functional.cf_series(a, b, half, n)
             ratio = printed / corrected
             expected = math.factorial(n) / (n + 1)
             add(
@@ -290,7 +278,7 @@ def _errata_findings(tol: float) -> tuple[list[RepRow], bool]:
                 abs(ratio - expected) <= tol * expected,
                 f"printed/corrected, expected n!/(n+1) = {format_float(expected)}",
             )
-            integral = cf_quadrature(a, b, half, n).value
+            integral = functional.cf_quadrature(a, b, half, n).value
             worst_quad = max(worst_quad, abs(corrected - integral) / abs(integral))
         add(
             f"series_corrected_vs_quadrature(a={a},b={b})",
@@ -370,7 +358,7 @@ def cmd_errata(args) -> int:
         rows=tuple(rows),
         notes=_ERRATA_NOTES,
     )
-    _emit(report, args.format)
+    print(render_report(report, args.format))
     return 0 if all_ok else 1
 
 
@@ -524,9 +512,10 @@ def _suite_q_identities() -> Iterator[str]:
 
 
 def _suite_functional_consistency() -> Iterator[str]:
+    half = Fraction(1, 2)
     for a, b in ((1, 1), (1, 4), (2, 1)):
         for n in range(6):
-            if not cf_half_reduction_check(a, b, n):
+            if not functional.cf_half_reduction_check(a, b, n):
                 yield f"p = 1/2 reduction fails at a={a}, b={b}, n={n}"
     points = (
         (1, 2, Fraction(1, 3), 2),
@@ -535,8 +524,8 @@ def _suite_functional_consistency() -> Iterator[str]:
         (2, 4, Fraction(61, 100), 4),
     )
     for a, b, p, n in points:
-        exact_value = float(cf_double_sum(a, b, p, n))
-        integral = cf_quadrature(a, b, p, n, tol=_SELFTEST_QUAD_TOL).value
+        exact_value = float(functional.cf_double_sum(a, b, p, n))
+        integral = functional.cf_quadrature(a, b, p, n, tol=_SELFTEST_QUAD_TOL).value
         rel = abs(exact_value - integral) / abs(integral)
         if rel > 10.0 * _SELFTEST_QUAD_TOL:
             yield (
@@ -544,15 +533,14 @@ def _suite_functional_consistency() -> Iterator[str]:
                 f"rel err {format_float(rel)}"
             )
     for a, b in ((2, 1), (1, 4)):
-        series = cf_series(a, b, Fraction(1, 2), 1)
-        total = float(cf_double_sum(a, b, Fraction(1, 2), 1))
+        series = functional.cf_series(a, b, half, 1)
+        total = float(functional.cf_double_sum(a, b, half, 1))
         if abs(series - total) > 1e-12 * abs(total):
             yield f"series vs double sum at a={a}, b={b}, n=1"
     for n in range(5):
-        if cf_via_q(2, 1, Fraction(1, 2), n) != cf_double_sum(2, 1, Fraction(1, 2), n):
-            yield f"via_q vs double sum at (2, 1, 1/2, n={n})"
-        if cf_via_q(1, 1, Fraction(1, 3), n) != cf_double_sum(1, 1, Fraction(1, 3), n):
-            yield f"via_q vs double sum on the boundary (1, 1, 1/3, n={n})"
+        for a, b, p, where in ((2, 1, half, "at"), (1, 1, Fraction(1, 3), "on the boundary")):
+            if functional.cf_via_q(a, b, p, n) != functional.cf_double_sum(a, b, p, n):
+                yield f"via_q vs double sum {where} ({a}, {b}, {p}, n={n})"
 
 
 _SUITES = {

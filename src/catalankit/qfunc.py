@@ -186,6 +186,13 @@ def q_stirling(n: int, y, p):
     return _exact_or_float(value, y, p)
 
 
+def _polylog_sum(n: int, p: Fraction, x):
+    """(-1)^n sum_{k=1..n} s(n,k) Li_{-k}(x) p^k, n >= 1, which is Q(n, y, p) at x = -y:
+    a Fraction at a number x, a RationalFunction of y at the Polynomial -y."""
+    terms = (polylog_neg(k)(x) * (stirling_first(n, k) * p**k) for k in range(1, n + 1))
+    return sum(terms) * (-1) ** n
+
+
 def q_polylog(n: int, y, p):
     """Closed form via negative-order polylogarithms, n >= 1.
 
@@ -199,11 +206,7 @@ def q_polylog(n: int, y, p):
         raise ValueError("q_polylog covers n >= 1 only; n = 0 is 1/(y+1)")
     if not y >= 0:
         raise ValueError(f"q_polylog needs y >= 0, got {y!r}")
-    yf, pf = Fraction(y), Fraction(p)
-    acc = Fraction(0)
-    for k in range(1, n + 1):
-        acc += stirling_first(n, k) * polylog_neg(k)(-yf) * pf**k
-    return _exact_or_float(Fraction(-1) ** n * acc, y, p)
+    return _exact_or_float(_polylog_sum(n, Fraction(p), -Fraction(y)), y, p)
 
 
 def q_hyp(n: int, y, p) -> float:
@@ -238,14 +241,9 @@ def q_rational(n: int, p) -> RationalFunction:
     """Q(n, ., p) as an exact rational function of y, via polylogarithms."""
     _check_n(n)
     _check_p(p)
-    pf = Fraction(p)
     if n == 0:
         return RationalFunction(1, Polynomial([1, 1]))
-    minus_y = Polynomial([0, -1])
-    acc = RationalFunction(0)
-    for k in range(1, n + 1):
-        acc = acc + polylog_neg(k)(minus_y) * (stirling_first(n, k) * pf**k)
-    return acc * Fraction(-1) ** n
+    return _polylog_sum(n, Fraction(p), Polynomial([0, -1]))
 
 
 def q_rational_recurrence(n: int, p) -> RationalFunction:

@@ -5,13 +5,15 @@ t^(-tau) as t -> inf, with sigma > -1 and tau > 1 so the integral exists.
 The caller declares both exponents; nothing is detected at runtime.
 
 Strategy: the change of variable t = (u/(1-u))^gamma maps [0, inf) onto
-(0, 1). With gamma = 4 / min(sigma+1, tau-1) (clamped to [1, 24]) the
-transformed integrand vanishes at least like a cubic at both endpoints,
-which turns the endpoint behavior into something plain bisection resolves
-quickly; with gamma = 1 this is the familiar t = u/(1-u) map, which for
-slowly decaying integrands (tau near 1) would need subintervals too close
-to u = 1 to represent in double precision. The declared exponents exist
-precisely to license this rescaling.
+(0, 1). With gamma = 4 / min(sigma+1, tau-1) the transformed integrand
+vanishes at least like a cubic at both endpoints, which turns the
+endpoint behavior into something plain bisection resolves quickly; with
+gamma = 1 this is the familiar t = u/(1-u) map, which for slowly
+decaying integrands (tau near 1) would need subintervals too close to
+u = 1 to represent in double precision. The declared exponents exist
+precisely to license this rescaling. gamma is clamped to [1, 24], so an
+exponent within 1/6 of its limit leaves a slower decay at its endpoint,
+and within 1/24 a transformed integrand that does not vanish there.
 
 On (0, 1) a global adaptive loop applies a 15-point Kronrod rule with
 embedded 7-point Gauss rule per interval, always splitting the interval
@@ -48,7 +50,7 @@ _EULER_TOL = 1e-9
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive refinement could not reach the tolerance within budget."""
+    """The tolerance was not reached: the budget ran out or the map left the float range."""
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,8 @@ def integrate_halfline(g: HalflineIntegrand, tol: float) -> QuadResult:
     calibration selftest measures against Beta-integral ground truth
     drawn by `beta_cases`.
     Deterministic: identical inputs give bit-identical results. Raises
-    QuadratureError when the _MAX_EVALS evaluation budget runs out first.
+    QuadratureError when the _MAX_EVALS evaluation budget runs out first,
+    or when the map's t leaves the float range.
     """
     if not 1e-14 <= tol <= 1e-3:
         raise ValueError("integrate_halfline: tol must lie in [1e-14, 1e-3]")
@@ -130,11 +133,13 @@ def integrate_halfline(g: HalflineIntegrand, tol: float) -> QuadResult:
 
     def h(u: float) -> float:
         w = u / (1.0 - u)
-        t = w**gamma
-        if t <= 0.0 or math.isinf(t):
-            # Representability limit of the map; the true contribution
-            # beyond it is below any honored tolerance because the
-            # transformed integrand vanishes at both endpoints.
+        try:
+            t = w**gamma
+        except OverflowError:  # at a clamped gamma, a 0 here would drop tail mass
+            msg = f"the map t = (u/(1-u))^{gamma:g} leaves the float range at u = {u!r}"
+            raise QuadratureError(msg) from None
+        if t <= 0.0:
+            # t underflows only next to u = 0, where f may be singular
             return 0.0
         jac = gamma * w ** (gamma - 1.0) / (1.0 - u) ** 2
         v = f(t) * jac

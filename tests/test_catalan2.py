@@ -119,9 +119,9 @@ def test_paper_normalization_is_pi_times_gf():
 
 
 def test_printed_table_against_quadrature():
-    rows = c2_table_check()
-    assert len(rows) == 30
-    assert max(r.ratio_error for r in rows) < 1e-10
+    errors = c2_table_check()
+    assert len(errors) == 30
+    assert max(errors) < 1e-10
 
 
 def test_printed_table_values_direct():

@@ -362,6 +362,9 @@ def test_flags_and_echo_follow_the_quantity_table(capsys, command, flags):
     assert [item.split("=")[0] for item in header[1:]] == [*flags, *rest]
 
 
+MAP_OVERFLOW = "the map t = (u/(1-u))^24 leaves the float range at u = 0.9999999999998757"
+
+
 @pytest.mark.parametrize("argv, code, err, skipped", [
     # a convergent series that runs out of terms at valid input: exit 1
     # alone, a skipped row with the reason under `all`
@@ -382,9 +385,16 @@ def test_flags_and_echo_follow_the_quantity_table(capsys, command, flags):
      2, "error: 1+a/sqrt(b) about 1e+450 is outside float range\n", None),
     (("c2", "--a", "1e300", "--b", "2e-300", "--n", "0"),
      0, "", ("double_factorial", "1+a/sqrt(b) about 1e+450 is outside float range")),
+    # decay exponent 1.01 clamps the map's power at 24, so t overflows near u = 1;
+    # the remaining tail mass is not negligible, so the route fails
+    (("functional", "--a", "1", "--b", "1", "--p", "1/100", "--n", "0", "--rep", "quadrature"),
+     1, f"error: {MAP_OVERFLOW}\n", None),
+    (("functional", "--a", "1", "--b", "1", "--p", "1/100", "--n", "0"),
+     0, "", ("quadrature", MAP_OVERFLOW)),
 ], ids=["series_budget_alone", "series_budget_in_all", "zero_division_alone",
         "infinite_argument_alone", "infinite_argument_in_all",
-        "infinite_base_alone", "infinite_base_in_all"])
+        "infinite_base_alone", "infinite_base_in_all",
+        "map_overflow_alone", "map_overflow_in_all"])
 def test_row_errors_end_in_an_exit_code_and_a_message(capsys, argv, code, err, skipped):
     start = time.perf_counter()
     got, out, got_err = run_cli(capsys, *argv, "--format", "json")

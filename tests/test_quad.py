@@ -102,6 +102,14 @@ def test_budget_exhaustion_raises(monkeypatch):
         integrate_halfline(g, tol=1e-14)
 
 
+def test_map_leaving_the_float_range_raises():
+    # tau = 1.01 clamps gamma at 24: t = (u/(1-u))^24 overflows near u = 1,
+    # where the transformed integrand does not vanish
+    g = HalflineIntegrand(lambda t: (1.0 + t) ** -1.01, 0.0, 1.01)
+    with pytest.raises(QuadratureError, match="leaves the float range at u = "):
+        integrate_halfline(g, 1e-10)
+
+
 @pytest.mark.parametrize(
     "alpha, beta, gamma, z",
     [
