@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .exact import _check_n, _exact_or_float, _float_pow, _float_range_error, _is_exact
-from .exact import _to_float, catalan, double_factorial, exact_sqrt
+from .exact import _to_float, catalan, double_factorial, exact_pow
 from .hyper import assoc_legendre_p, gauss_2f1, jacobi_p
 from .quad import HalflineIntegrand, QuadResult, integrate_halfline
 from .series import gf_catalan2
@@ -68,7 +68,7 @@ def _check_domain(a, b, n: int) -> None:
 
 def _sqrt_b(b):
     """sqrt(b): a Fraction when b has a rational root, else a float."""
-    root = exact_sqrt(Fraction(b))
+    root = exact_pow(b, Fraction(1, 2))
     return math.sqrt(_to_float(b)) if root is None else root
 
 

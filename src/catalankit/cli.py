@@ -230,15 +230,18 @@ def cmd_compare(args) -> int:
     x = argparse.Namespace(**vars(args), norm=norm, quad_tol=_quad_tol(args.tol))
     single = args.rep != "all"
     names = (args.rep,) if single else [rep for rep in reps if rep not in ON_REQUEST]
-    rows = []
-    for row, error in evaluate(reps, names, x):
-        if single and error is not None:
-            return _error(error, 2 if isinstance(error, ValueError) else 1)
-        rows.append(row)
+    results = list(evaluate(reps, names, x))
+    errors = [error for _, error in results if error is not None]
+    # When every row is skipped: 1 if a route failed, else 2; a single --rep
+    # has one row, so this is its rule too. False when any row ran.
+    code = len(errors) == len(results) and min(
+        2 if isinstance(e, ValueError) else 1 for e in errors)
+    if single and code:
+        return _error(errors[0], code)
     notes = (_PAPER_NOTE,) if norm is Normalization.PRINTED_PI and not single else ()
-    report = CompareReport(args.command, inputs, tuple(rows), notes)
+    report = CompareReport(args.command, inputs, tuple(row for row, _ in results), notes)
     print(render_report(report, args.format))
-    return 0 if report.within(args.tol) else 1
+    return code or (0 if report.within(args.tol) else 1)
 
 
 # ----------------------------------------------------------------- errata
@@ -269,7 +272,7 @@ def _errata_findings(tol: float) -> tuple[list[RepRow], bool]:
         worst_quad = 0.0
         for n in range(1, 5):
             printed = functional.cf_series_as_printed(a, b, half, n)
-            corrected = functional.cf_series(a, b, half, n)
+            corrected = cf_series_detailed(a, b, half, n).value
             ratio = printed / corrected
             expected = math.factorial(n) / (n + 1)
             add(
@@ -533,7 +536,7 @@ def _suite_functional_consistency() -> Iterator[str]:
                 f"rel err {format_float(rel)}"
             )
     for a, b in ((2, 1), (1, 4)):
-        series = functional.cf_series(a, b, half, 1)
+        series = cf_series_detailed(a, b, half, 1).value
         total = float(functional.cf_double_sum(a, b, half, 1))
         if abs(series - total) > 1e-12 * abs(total):
             yield f"series vs double sum at a={a}, b={b}, n=1"

@@ -34,7 +34,6 @@ __all__ = [
     "geometric_polynomial",
     "geometric_inverse_check",
     "polylog_neg",
-    "exact_sqrt",
     "exact_pow",
     "Polynomial",
     "RationalFunction",
@@ -108,18 +107,9 @@ def catalan_formulas(n: int) -> dict[str, Fraction]:
     gamma_form = 4**n * gamma_half_ratio / factorial(n + 1)
     # 2F1(-n, 1-n; 2; 1): term k reduces to C(n,k) C(n-1,k) / (k+1),
     # terminating at k = n - 1 for n >= 1 (the k = n term carries a zero
-    # Pochhammer factor); the empty product at n = 0 is 1. The terms are
-    # summed as integer numerators over lcm(1..n), with running binomials.
-    if n == 0:
-        hyp_form = Fraction(1)
-    else:
-        den = math.lcm(*range(1, n + 1))
-        total, c_n, c_n1 = 0, 1, 1  # C(n,k), C(n-1,k)
-        for k in range(n):
-            total += c_n * c_n1 * (den // (k + 1))
-            c_n = c_n * (n - k) // (k + 1)
-            c_n1 = c_n1 * (n - 1 - k) // (k + 1)
-        hyp_form = Fraction(total, den)
+    # Pochhammer factor); the empty product at n = 0 is 1.
+    hyp_form = Fraction(1) if n == 0 else sum(
+        Fraction(comb(n, k) * comb(n - 1, k), k + 1) for k in range(n))
     return {
         "factorial_quotient": quotient,
         "central_binomial": central,
@@ -237,10 +227,6 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def monomial(cls, degree: int, coeff=1) -> Polynomial:
-        return cls([0] * degree + [coeff])
 
     @property
     def degree(self) -> int:
@@ -524,7 +510,7 @@ def geometric_inverse_check(n: int) -> bool:
     acc = Polynomial()
     for k in range(n + 1):
         acc = acc + stirling_first(n, k) * geometric_polynomial(k)
-    return acc == Polynomial.monomial(n, factorial(n))
+    return acc == Polynomial([0] * n + [factorial(n)])
 
 
 @lru_cache(maxsize=None)
@@ -540,18 +526,6 @@ def polylog_neg(k: int) -> RationalFunction:
     if k == 0:
         return RationalFunction(Polynomial([0, 1]), Polynomial([1, -1]))
     return polylog_neg(k - 1).derivative() * Polynomial([0, 1])
-
-
-def exact_sqrt(q) -> Fraction | None:
-    """Exact rational square root of a nonnegative rational, else None."""
-    q = Fraction(q)
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 def exact_pow(base, exponent) -> Fraction | None:

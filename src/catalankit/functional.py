@@ -37,7 +37,6 @@ __all__ = [
     "SeriesEvaluation",
     "cf_quadrature",
     "cf_double_sum",
-    "cf_series",
     "cf_series_detailed",
     "cf_series_as_printed",
     "cf_via_q",
@@ -171,10 +170,6 @@ def cf_series_detailed(a, b, p, n: int) -> SeriesEvaluation:
     """
     total, ab_n, branch, y, terms = _single_series(a, b, p, n)
     return SeriesEvaluation(_to_float(total) / (ab_n * factorial(n)), branch, _to_float(y), terms)
-
-
-def cf_series(a, b, p, n: int) -> float:
-    return cf_series_detailed(a, b, p, n).value
 
 
 def cf_series_as_printed(a, b, p, n: int) -> float:

@@ -5,14 +5,14 @@ for n >= 0, y in [0, 1], p in (0, 1). The series converges only for
 y < 1, but Q extends to y = 1 through its closed forms, which are exact
 rational functions of y. Routes provided:
 
-  q_series      direct summation with a proven tail bound (y < 1)
-  q_stirling    geometric-polynomial closed form (valid at y = 1)
-  q_polylog     negative-order-polylogarithm closed form (n >= 1)
-  q_rational*   the closed forms as RationalFunction objects in y
-  q_hyp         a published hypergeometric form, evaluated verbatim for
-                comparison only: its prefactor disagrees with the other
-                routes (at n = 1 by exactly y^-3) and the comparison is
-                reported rather than asserted
+  q_series_with_terms  direct summation with a proven tail bound (y < 1)
+  q_stirling           geometric-polynomial closed form (valid at y = 1)
+  q_polylog            negative-order-polylogarithm closed form (n >= 1)
+  q_rational*          the closed forms as RationalFunction objects in y
+  q_hyp                a published hypergeometric form, evaluated verbatim
+                       for comparison only: its prefactor disagrees with the
+                       other routes (at n = 1 by exactly y^-3) and the
+                       comparison is reported rather than asserted
 
 plus the identity checks used to justify the closed forms (recurrence,
 termwise derivative form, series transform, Pochhammer derivatives, and
@@ -50,7 +50,6 @@ from .exact import (
 from .hyper import pfq_series
 
 __all__ = [
-    "q_series",
     "q_series_with_terms",
     "series_tail_bound",
     "q_stirling",
@@ -156,10 +155,6 @@ def q_series_with_terms(n: int, y, p) -> tuple[float, int]:
         return (1.0 if n == 0 else 0.0), 1
     total, terms = _pochhammer_series(n, yf, pf, descending=False)
     return _to_float(total), terms
-
-
-def q_series(n: int, y, p) -> float:
-    return q_series_with_terms(n, y, p)[0]
 
 
 def q_stirling(n: int, y, p):
@@ -313,7 +308,7 @@ def q_derivative_form_check(n: int, k_max: int, y, p) -> bool:
         if derivative_coeff != series_coeff:
             return False
         partial += series_coeff * (-yf) ** k
-    full = Fraction(q_series(n, yf, pf))
+    full = Fraction(q_series_with_terms(n, yf, pf)[0])
     # _REL_TOL doubles as the slack for rounding full to a float
     return abs(partial - full) <= series_tail_bound(n, yf, pf, k_max + 1) + _REL_TOL
 

@@ -1,4 +1,4 @@
-"""Truncated power series and the two generating functions.
+"""Truncated power series and the generating function of C2(n; a, b).
 
 A PowerSeries is a fixed-length tuple of coefficients, index = power.
 Coefficients are either all Fraction (exact mode) or all float; the
@@ -17,14 +17,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import _to_float, exact_sqrt
+from .exact import _to_float, exact_pow
 
 __all__ = [
     "PowerSeries",
     "series_mul",
     "series_recip",
     "series_sqrt",
-    "gf_catalan",
     "gf_catalan2",
 ]
 
@@ -117,8 +116,8 @@ def series_sqrt(s: PowerSeries) -> PowerSeries:
     """
     c = s.coeffs
     if s.exact:
-        root = exact_sqrt(c[0])
-        if c[0] <= 0 or root is None:
+        root = exact_pow(c[0], Fraction(1, 2))
+        if root is None:
             raise ValueError(
                 "series sqrt: constant term must be positive with a rational root"
             )
@@ -138,17 +137,6 @@ def series_sqrt(s: PowerSeries) -> PowerSeries:
     return PowerSeries(r)
 
 
-def gf_catalan(order: int) -> PowerSeries:
-    """Series of 2 / (1 + sqrt(1 - 4x)); coefficient n is C_n. Exact."""
-    if order < 1:
-        raise ValueError("gf_catalan: order must be >= 1")
-    base = PowerSeries((Fraction(1), Fraction(-4)) + (Fraction(0),) * max(0, order - 2))
-    root = series_sqrt(base)
-    denom = PowerSeries(_add(root.coeffs, (Fraction(1),) + (Fraction(0),) * (order - 1)))
-    inv = series_recip(denom)
-    return PowerSeries(tuple(2 * x for x in inv.coeffs))
-
-
 def gf_catalan2(a, b, order: int) -> PowerSeries:
     """Series of 1 / (a + sqrt(b - x)) truncated at x^order.
 
@@ -160,8 +148,10 @@ def gf_catalan2(a, b, order: int) -> PowerSeries:
         raise ValueError("gf_catalan2: order must be >= 1")
     if not (a >= 0 and b > 0):
         raise ValueError("gf_catalan2: need a >= 0 and b > 0")
-    num = _to_float if exact_sqrt(b) is None else Fraction
+    num = _to_float if exact_pow(b, Fraction(1, 2)) is None else Fraction
+    # The base keeps its x term at order 1, so a float coefficient 0 is rounded
+    # as at every order (by a Newton step); the root is cut to order instead.
     base = PowerSeries((num(b), num(-1)) + (num(0),) * max(0, order - 2))
     root = series_sqrt(base)
-    denom = PowerSeries((root.coeffs[0] + num(a),) + root.coeffs[1:])
+    denom = PowerSeries((root.coeffs[0] + num(a),) + root.coeffs[1:order])
     return series_recip(denom)

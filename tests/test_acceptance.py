@@ -34,14 +34,14 @@ from catalankit import (
     cf_double_sum,
     cf_half_reduction_check,
     cf_quadrature,
-    cf_series,
     cf_series_as_printed,
+    cf_series_detailed,
     cf_via_q,
     integrate_halfline,
     q_polylog,
     q_rational,
     q_recurrence_value,
-    q_series,
+    q_series_with_terms,
     q_stirling,
     zform_bracket,
 )
@@ -151,7 +151,7 @@ def test_05_functional_double_sum_vs_quadrature(capsys):
                 assert abs(quad - truth) <= max(1e-8 * abs(truth), 1e-12)
                 y = float(b) ** float(p) / float(a)
                 if not 0.9 <= y <= 1.1:
-                    ser = cf_series(a, b, p, n)
+                    ser = cf_series_detailed(a, b, p, n).value
                     assert abs(ser - truth) <= max(1e-8 * abs(truth), 1e-12)
         assert time.perf_counter() - t0 < 120.0
 
@@ -161,7 +161,7 @@ def test_06_printed_series_prefactor(capsys):
     with verdict(capsys, "printed_series_prefactor"):
         for a, b in ((2, 1), (1, 4)):
             for n in range(1, 5):
-                corrected = cf_series(a, b, half, n)
+                corrected = cf_series_detailed(a, b, half, n).value
                 printed = cf_series_as_printed(a, b, half, n)
                 expected = math.factorial(n) / (n + 1)
                 assert abs(printed / corrected - expected) <= 1e-8 * expected
@@ -196,7 +196,7 @@ def test_08_q_routes_and_printed_tables(capsys):
         for n in range(7):
             for y in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
                 truth = float(q_stirling(n, y, half))
-                approx = q_series(n, float(y), half)
+                approx = q_series_with_terms(n, float(y), half)[0]
                 assert abs(approx - truth) <= max(1e-11 * abs(truth), 1e-15)
         assert q_stirling(1, 1, half) == Fraction(1, 8)
         for n in range(1, 7):

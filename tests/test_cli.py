@@ -6,6 +6,7 @@ import json
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,15 @@ def test_catalan_command(capsys):
     for name in ("factorial_quotient", "central_binomial", "gamma_ratio",
                  "terminating_2f1", "recurrence"):
         assert name in out
+
+
+def test_readme_example_is_current(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    command = "$ catalankit c2 --a 1 --b 4 --n 2\n"
+    shown = readme.split(command, 1)[1].split("```", 1)[0]
+    code, out, _ = run_cli(capsys, *command.split()[2:])
+    assert code == 0
+    assert out == shown
 
 
 def test_c2_all_agrees(capsys):
@@ -300,15 +310,34 @@ def test_float_of_an_input_past_range_exits_2(capsys, argv, reason):
 
 
 def test_input_past_float_range_skips_every_row(capsys):
-    # sqrt(3e399) is irrational, so every c2 route needs float(b)
+    # sqrt(3e399) is irrational, so every c2 route needs float(b); with
+    # every row skipped on a ValueError, `all` exits 2 as one --rep would
     code, out, _ = run_cli(capsys, "c2", "--a", "1", "--b", "3e399", "--n", "1",
                            "--format", "json")
-    assert code == 0
+    assert code == 2
     rows = json.loads(out)["results"]
     assert len(rows) == 7
     for row in rows:
         assert row["skipped"] is True
         assert row["note"] == "value about 1e+399 is outside float range"
+    # y = -2 is outside every Q route's domain
+    code, out, _ = run_cli(capsys, "q", "--n", "3", "--y", "-2", "--format", "json")
+    assert code == 2
+    rows = json.loads(out)["results"]
+    assert len(rows) == 5 and all(row["skipped"] for row in rows)
+
+
+def test_every_row_skipped_with_a_route_failure_exits_1(capsys, monkeypatch):
+    # one route failing at valid input outranks the domain refusals
+    def exhausted(*args):
+        raise RuntimeError("q_series: not converged after 2 terms")
+
+    monkeypatch.setattr(catalankit.qfunc, "q_series_with_terms", exhausted)
+    code, out, _ = run_cli(capsys, "q", "--n", "3", "--y", "-2", "--format", "json")
+    assert code == 1
+    rows = json.loads(out)["results"]
+    assert all(row["skipped"] for row in rows)
+    assert rows[0]["note"] == "q_series: not converged after 2 terms"
 
 
 REGISTRY_POINTS = {

@@ -13,7 +13,6 @@ from catalankit.functional import (
     cf_double_sum,
     cf_half_reduction_check,
     cf_quadrature,
-    cf_series,
     cf_series_as_printed,
     cf_series_detailed,
     cf_via_q,
@@ -93,23 +92,23 @@ def test_series_max_terms_exhausted(monkeypatch):
 
 def test_series_boundary_rejected():
     with pytest.raises(ValueError, match="cf_via_q"):
-        cf_series(2, 4, HALF, 1)
+        cf_series_detailed(2, 4, HALF, 1)
     with pytest.raises(ValueError):
-        cf_series(0, 4, HALF, 1)
+        cf_series_detailed(0, 4, HALF, 1)
 
 
 def test_printed_series_prefactor_ratio():
     # printed form uses n+1 where n! belongs: ratio n!/(n+1) on both branches
     for a, b in [(2, 1), (1, 4)]:
         for n in range(1, 5):
-            ratio = cf_series_as_printed(a, b, HALF, n) / cf_series(a, b, HALF, n)
+            ratio = cf_series_as_printed(a, b, HALF, n) / cf_series_detailed(a, b, HALF, n).value
             assert ratio == pytest.approx(math.factorial(n) / (n + 1), rel=1e-12)
 
 
 def test_printed_series_spurious_term_at_n0():
     # descending branch printed from k = 0 adds a spurious +1 at n = 0
     printed = cf_series_as_printed(1, 4, HALF, 0)
-    corrected = cf_series(1, 4, HALF, 0)
+    corrected = cf_series_detailed(1, 4, HALF, 0).value
     a, b = 1.0, 4.0
     assert printed == pytest.approx(corrected - 1.0 / a, rel=1e-12)
 
@@ -187,6 +186,6 @@ def test_series_matches_double_sum_off_boundary(a, b, p, n):
     y = float(b) ** float(p) / a
     if abs(y - 1.0) < 0.1:
         return  # near the boundary convergence is slow; covered by via_q
-    got = cf_series(a, b, p, n)
+    got = cf_series_detailed(a, b, p, n).value
     want = float(cf_double_sum(a, b, p, n))
     assert got == pytest.approx(want, rel=1e-10, abs=1e-15)

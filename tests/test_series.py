@@ -9,20 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalankit.exact import catalan
-from catalankit.series import PowerSeries, gf_catalan, gf_catalan2, series_mul
-
-
-def test_catalan_gf_coefficients():
-    s = gf_catalan(12)
-    for n in range(12):
-        assert s.coefficient(n) == catalan(n)
-    assert s.exact
+from catalankit.series import PowerSeries, gf_catalan2, series_mul
 
 
 def test_gf_self_consistency():
-    # c(x) satisfies c = 1 + x c^2
+    # the Catalan series c(x) satisfies c = 1 + x c^2
     order = 10
-    c = gf_catalan(order)
+    c = gf_catalan2(Fraction(1, 2), Fraction(1, 4), order)
     c2 = series_mul(c, c)
     for n in range(1, order):
         assert c.coefficient(n) == c2.coefficient(n - 1)
@@ -38,9 +31,19 @@ def test_gf_catalan2_exact_rational_b():
 
 
 def test_gf_catalan2_reduces_to_catalan():
-    s = gf_catalan2(Fraction(1, 2), Fraction(1, 4), 10)
-    for n in range(10):
-        assert s.coefficient(n) == catalan(n)
+    # 1/(1/2 + sqrt(1/4 - x)) = 2/(1 + sqrt(1 - 4x)), the Catalan series
+    for order in (2, 5, 10, 12, 40):
+        s = gf_catalan2(Fraction(1, 2), Fraction(1, 4), order)
+        assert s.exact
+        assert [s.coefficient(n) for n in range(order)] == [catalan(n) for n in range(order)]
+
+
+@pytest.mark.parametrize("b", [4, 2.0])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_gf_catalan2_has_the_requested_order(order, b):
+    s = gf_catalan2(1, b, order)
+    assert s.order == order
+    assert s.exact == isinstance(b, int)
 
 
 def test_gf_catalan2_float_fallback():
