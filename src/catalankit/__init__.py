@@ -11,14 +11,27 @@ Exact arithmetic is used whenever the inputs allow it: rational a, b, p
 with rational sqrt(b) or b^p produce Fraction results.
 """
 
-from . import catalan2, exact, functional, hyper, qfunc, quad, series
-
 __version__ = "0.1.0"
 
-# The public names are each module's __all__; the package re-exports them.
-__all__ = []
-for _module in (catalan2, exact, functional, hyper, qfunc, quad, series):
-    globals().update((name, getattr(_module, name)) for name in _module.__all__)
-    __all__ += _module.__all__
-__all__.append("__version__")
-del _module
+# The public names are each module's __all__; the package re-exports them,
+# in this module order, and loads the modules on the first such name.
+_MODULES = ("catalan2", "exact", "functional", "hyper", "qfunc", "quad", "series")
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+    from importlib.util import find_spec
+
+    # A private name or a submodule is never a re-export. Refusing it here,
+    # before anything loads, lets `from . import cli` import that one module.
+    if name.startswith("_") and name != "__all__" or find_spec(f"{__name__}.{name}"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    names = []
+    for module in (import_module(f"{__name__}.{m}") for m in _MODULES):
+        globals().update((public, getattr(module, public)) for public in module.__all__)
+        names += module.__all__
+    globals()["__all__"] = [*names, "__version__"]
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None

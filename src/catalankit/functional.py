@@ -23,9 +23,9 @@ be measured rather than silently patched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .catalan2 import _check_domain as _check_c2_domain, c2_hyp_closed
 from .exact import _check_p, _exact_or_float, _float_pow, _float_range_error, _is_exact
@@ -78,7 +78,9 @@ def cf_quadrature(a, b, p, n: int, tol: float = 1e-10) -> QuadResult:
     if not a > 0:
         raise ValueError("cf_quadrature needs a > 0")
     af, bf, pf = _to_float(a), _to_float(b), _to_float(p)
-    a2 = af * af
+    a2 = af * af  # not _float_pow: af ** 2 can differ from af * af in the last bit
+    if math.isinf(a2):
+        raise _float_range_error("a^2", 2 * math.log10(af))
     two_a_cos = 2.0 * af * math.cos(pf * math.pi)
     power = n + 1
 
@@ -127,8 +129,7 @@ def cf_double_sum(a, b, p, n: int):
     return _exact_or_float(value, a, b, p)
 
 
-@dataclass(frozen=True)
-class SeriesEvaluation:
+class SeriesEvaluation(NamedTuple):
     """Outcome of a single-series evaluation: which branch, how many terms."""
 
     value: float

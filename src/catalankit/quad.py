@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .hyper import gauss_2f1
 
@@ -53,8 +52,7 @@ class QuadratureError(RuntimeError):
     """The tolerance was not reached: the budget ran out or the map left the float range."""
 
 
-@dataclass(frozen=True)
-class HalflineIntegrand:
+class HalflineIntegrand(NamedTuple):
     """An integrand on [0, inf) with declared endpoint behavior.
 
     ``endpoint_exponent`` is sigma in f(t) ~ t^sigma as t -> 0 (must be
@@ -67,8 +65,7 @@ class HalflineIntegrand:
     decay_exponent: float
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Quadrature value with an error estimate and evaluation count."""
 
     value: float

@@ -10,13 +10,11 @@ sorted, and no timestamps or environment data appear anywhere.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .exact import _is_exact
 
@@ -50,8 +48,7 @@ def format_scalar(x) -> str:
     return format_float(x)
 
 
-@dataclass(frozen=True)
-class RepRow:
+class RepRow(NamedTuple):
     """One representation's outcome inside a report.
 
     ``terms`` counts series terms or integrand evaluations, whichever
@@ -102,8 +99,7 @@ def max_pairwise_rel_diff(values) -> float | None:
     return worst
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     command: str
     inputs: tuple[tuple[str, object], ...]  # echoed in the given order
     rows: tuple[RepRow, ...]
@@ -131,7 +127,11 @@ def _cells(row: RepRow) -> list:
     return [getattr(row, column) for column in _COLUMNS]
 
 
+# json and csv load in the renderer that uses them: a text report in a
+# fresh process imports neither.
 def _json_atom(x) -> str:
+    import json
+
     if x is None:
         return "null"
     if isinstance(x, (str, Fraction)):
@@ -140,6 +140,8 @@ def _json_atom(x) -> str:
 
 
 def _json_object(pairs) -> str:
+    import json
+
     body = ",".join(f"{json.dumps(k)}:{v}" for k, v in sorted(pairs))
     return "{" + body + "}"
 
@@ -180,6 +182,8 @@ def _report_text(report: CompareReport) -> str:
 
 
 def _report_csv(report: CompareReport) -> str:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_COLUMNS)

@@ -14,7 +14,7 @@ of its denominators), and each output coefficient is reduced once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import _to_float, exact_pow
@@ -28,15 +28,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(namedtuple("PowerSeries", "coeffs")):
     """Coefficients c_0 .. c_(order-1) of a series truncated at x^order."""
 
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __new__(cls, coeffs: tuple):
+        if not coeffs:
             raise ValueError("PowerSeries: need at least one coefficient")
+        return super().__new__(cls, coeffs)
 
     @property
     def order(self) -> int:

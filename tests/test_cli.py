@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import catalankit.checks
 import catalankit.cli
 import catalankit.exact
 import catalankit.hyper
@@ -187,14 +188,16 @@ def test_q_hyp_past_float_range_is_skipped(capsys):
 
 
 def test_underflow_to_zero_is_not_agreement(capsys):
-    # the exact rows are about 1e-602; the float rows underflow to 0
+    # the exact rows are about 1e-602; the series row underflows to 0. The
+    # quadrature row read 0 too, from an a^2 that overflowed; it is skipped.
     code, out, _ = run_cli(capsys, "functional", "--a", "1e300", "--b", "4",
                            "--p", "1/2", "--n", "2", "--format", "json")
     assert code == 1
     data = json.loads(out)
-    values = {row["rep"]: row["value"] for row in data["results"]}
-    assert values["series"] == 0 and values["quadrature"] == 0
-    assert Fraction(values["double_sum"]) > 0
+    rows = {row["rep"]: row for row in data["results"]}
+    assert rows["series"]["value"] == 0
+    assert rows["quadrature"]["note"] == "a^2 about 1e+600 is outside float range"
+    assert Fraction(rows["double_sum"]["value"]) > 0
     assert data["max_pairwise_rel_diff"] == 1
 
 
@@ -261,6 +264,9 @@ def test_exact_and_skipped_follow_the_value(capsys, argv):
         (("c2", "--a", "1e200", "--b", "4", "--n", "2"),
          {"quadrature": "a^2 about 1e+400 is outside float range",
           "hyp_unbounded": "a^2 about 1e+400 is outside float range"}),
+        # cf_quadrature's a^2 overflowed to inf, and its row read 0 with err 0
+        (("functional", "--a", "1e200", "--b", "1", "--p", "1/2", "--n", "0"),
+         {"quadrature": "a^2 about 1e+400 is outside float range"}),
     ],
 )
 def test_float_power_past_range_skips_the_row(capsys, argv, reasons):
@@ -420,10 +426,14 @@ MAP_OVERFLOW = "the map t = (u/(1-u))^24 leaves the float range at u = 0.9999999
      1, f"error: {MAP_OVERFLOW}\n", None),
     (("functional", "--a", "1", "--b", "1", "--p", "1/100", "--n", "0"),
      0, "", ("quadrature", MAP_OVERFLOW)),
+    # every other row divides by an underflowed 0; the quadrature row, whose
+    # overflowed a^2 once made it a lone 0 that passed, is skipped too
+    (("functional", "--a", "1.23e168", "--b", "2.78e-167", "--p", "1/6", "--n", "3"),
+     1, "", ("quadrature", "a^2 about 1e+336 is outside float range")),
 ], ids=["series_budget_alone", "series_budget_in_all", "zero_division_alone",
         "infinite_argument_alone", "infinite_argument_in_all",
         "infinite_base_alone", "infinite_base_in_all",
-        "map_overflow_alone", "map_overflow_in_all"])
+        "map_overflow_alone", "map_overflow_in_all", "square_past_range_in_all"])
 def test_row_errors_end_in_an_exit_code_and_a_message(capsys, argv, code, err, skipped):
     start = time.perf_counter()
     got, out, got_err = run_cli(capsys, *argv, "--format", "json")
@@ -564,7 +574,7 @@ def test_selftest_all_passes(capsys):
 
 def test_selftest_integrates_at_the_rule_for_the_default_tol():
     default_tol = catalankit.cli._build_parser().parse_args(["errata"]).tol
-    assert catalankit.cli._SELFTEST_QUAD_TOL == catalankit.cli._quad_tol(default_tol)
+    assert catalankit.checks._SELFTEST_QUAD_TOL == catalankit.cli._quad_tol(default_tol)
 
 
 def test_selftest_subset(capsys):

@@ -1,0 +1,57 @@
+"""What a fresh process loads: each subcommand imports only what it runs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs the command line in the child and prints its exit code and the
+# modules the run executed. A route module that `cli` registered lazily and
+# nothing touched is still a `LazyLoader` placeholder, not a plain module,
+# so it is left out; so is whatever the interpreter had loaded before.
+PROBE = """
+import io, sys, types
+before = set(sys.modules)
+sys.stdout = io.StringIO()
+from catalankit.cli import main
+code = main(sys.argv[1:])
+sys.stdout = sys.__stdout__
+print(code, *(name for name, m in sys.modules.items()
+              if name not in before and type(m) is types.ModuleType))
+"""
+
+ALWAYS = {"cli", "exact", "reporting"}
+C2 = ALWAYS | {"catalan2", "hyper", "quad", "series"}
+
+CASES = [
+    (("catalan", "--n", "0"), "text", ALWAYS),
+    (("c2", "--a", "1", "--b", "4", "--n", "2"), "json", C2),
+    (("q", "--n", "3", "--y", "1/2"), "csv", ALWAYS | {"hyper", "qfunc"}),
+    (("functional", "--a", "2", "--b", "1", "--p", "1/2", "--n", "2"), "text",
+     C2 | {"functional", "qfunc"}),
+]
+
+
+def loaded(*args):
+    run = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)), check=True, timeout=30)
+    return run.stdout.split()
+
+
+@pytest.mark.parametrize("argv, fmt, modules", CASES, ids=[c[0][0] for c in CASES])
+def test_a_subcommand_loads_only_its_routes(argv, fmt, modules):
+    code, *names = loaded("-c", PROBE, *argv, "--format", fmt)
+    assert code == "0"
+    ours = {name.removeprefix("catalankit.") for name in names if name.startswith("catalankit.")}
+    assert ours == modules
+    assert not {"dataclasses", "inspect"} & set(names)
+    assert not ({"json", "csv"} - {fmt}) & set(names)
+
+
+def test_importing_the_package_loads_no_route():
+    names = loaded("-c", "import sys, catalankit; print(*sys.modules)")
+    assert [name for name in names if name.startswith("catalankit")] == ["catalankit"]
