@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .exact import _check_n, _exact_or_float, _float_pow, _float_range_error, _is_exact
-from .exact import _to_float, catalan, double_factorial, exact_pow
+from .exact import _power_arithmetic, _to_float, catalan, double_factorial
 from .hyper import assoc_legendre_p, gauss_2f1, jacobi_p
 from .quad import HalflineIntegrand, QuadResult, integrate_halfline
 from .series import gf_catalan2
@@ -66,12 +66,6 @@ def _check_domain(a, b, n: int) -> None:
         raise ValueError(f"b must be > 0, got {b}")
 
 
-def _sqrt_b(b):
-    """sqrt(b): a Fraction when b has a rational root, else a float."""
-    root = exact_pow(b, Fraction(1, 2))
-    return math.sqrt(_to_float(b)) if root is None else root
-
-
 def _norm_factor(norm: Normalization):
     """1 or pi; pi is a float, so a printed-scale value is rounded."""
     return math.pi if norm is Normalization.PRINTED_PI else 1
@@ -86,9 +80,8 @@ def c2_double_factorial_sum(a, b, n: int):
     1/(a+sqrt(b)). Generating-function normalization by construction.
     """
     _check_domain(a, b, n)
-    root = _sqrt_b(b)
+    root, cast = _power_arithmetic(b, Fraction(1, 2))
     exact = _is_exact(root)
-    cast = Fraction if exact else _to_float
     af = cast(a)
     base = 1 + af / root
     if not exact and math.isinf(base):
@@ -147,8 +140,8 @@ def c2_hyp_closed(a, b, n: int, norm: Normalization = Normalization.GENERATING_F
     and the 2F1 is 1, extending the published n >= 1 range.
     """
     _check_domain(a, b, n)
-    root = _sqrt_b(b)
-    aa = Fraction(a) if _is_exact(root) else _to_float(a)
+    root, cast = _power_arithmetic(b, Fraction(1, 2))
+    aa = cast(a)
     z = (root - aa) / (2 * root)
     two_root_n = _float_pow(2 * root, n, "(2 sqrt(b))^n")
     pref = catalan(n) / (two_root_n * _float_pow(aa + root, n + 1, "(a+sqrt(b))^(n+1)"))
@@ -185,8 +178,8 @@ def c2_jacobi(a, b, n: int, norm: Normalization = Normalization.GENERATING_FUNCT
     _check_domain(a, b, n)
     if n < 1:
         raise ValueError("c2_jacobi needs n >= 1")
-    root = _sqrt_b(b)
-    aa = Fraction(a) if _is_exact(root) else _to_float(a)
+    root, cast = _power_arithmetic(b, Fraction(1, 2))
+    aa = cast(a)
     two_root_n = _float_pow(2 * root, n, "(2 sqrt(b))^n")
     pref = 1 / (n * two_root_n * _float_pow(aa + root, n + 1, "(a+sqrt(b))^(n+1)"))
     k = _norm_factor(norm)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import math
 import re
 import sys
 from collections.abc import Iterator
@@ -229,14 +230,24 @@ _PAPER_NOTE = (
     "sum, quadrature and coefficient rows stay on the "
     "generating-function scale and are compared alone"
 )
+_LONE_ROW_NOTE = "only one compared row ran, so nothing was cross-checked"
+
+
+def _finite(fields: dict) -> dict:
+    """A row's fields, refusing a float value that overflowed or is NaN."""
+    value = fields["value"]
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError("value is not a number" if math.isnan(value) else "value overflowed")
+    return fields
 
 
 def evaluate(reps, names, x) -> Iterator[tuple[RepRow, Exception | None]]:
     """(row, error) per representation in `names`, built from `x`; a route
-    raising one of ROW_ERRORS gives a skipped row with the reason."""
+    raising one of ROW_ERRORS, or returning a float value that is not
+    finite (a ValueError), gives a skipped row with the reason."""
     for rep in names:
         try:
-            yield RepRow(rep, **reps[rep](x)), None
+            yield RepRow(rep, **_finite(reps[rep](x))), None
         except ROW_ERRORS as exc:
             yield RepRow(rep, note=str(exc)), exc
 
@@ -266,8 +277,12 @@ def cmd_compare(args) -> int:
     printed = norm is not None and norm is catalan2.Normalization.PRINTED_PI
     notes = (_PAPER_NOTE,) if printed and not single else ()
     report = CompareReport(args.command, inputs, tuple(row for row, _ in results), notes)
+    # Under `all`, one compared row cross-checks nothing: exit 1 with a note.
+    lone = not single and len(report.compared_rows) == 1
+    if lone:
+        report = report._replace(notes=notes + (_LONE_ROW_NOTE,))
     print(render_report(report, args.format))
-    return code or (0 if report.within(args.tol) else 1)
+    return code or (1 if lone or not report.within(args.tol) else 0)
 
 
 def _run_checks(args) -> int:

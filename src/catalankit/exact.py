@@ -71,6 +71,19 @@ def _float_pow(base, exponent, name: str):
         raise _float_range_error(name, exponent * math.log10(base)) from None
 
 
+def _power_arithmetic(b, p):
+    """(b**p, cast): the one owner of whether a route can stay exact. The
+    Fraction that exact_pow finds, with Fraction; else a float, with
+    _to_float. sqrt(b) (p = 1/2) is math.sqrt, any other power _float_pow.
+    A route runs its inputs through cast, then rounds by _exact_or_float."""
+    power = exact_pow(b, p)
+    if power is not None:
+        return power, Fraction
+    if p == Fraction(1, 2):
+        return math.sqrt(_to_float(b)), _to_float
+    return _float_pow(_to_float(b), _to_float(p), "b^p"), _to_float
+
+
 def _exact_or_float(value, *inputs):
     """The package's one exactness policy, for a route's final value:
     value itself when every input passes _is_exact, else _to_float(value)."""

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .catalan2 import _check_domain as _check_c2_domain, c2_hyp_closed
 from .exact import _check_p, _exact_or_float, _float_pow, _float_range_error, _is_exact
-from .exact import _to_float, exact_pow, rising_factorial
+from .exact import _power_arithmetic, _to_float, rising_factorial
 from .qfunc import _pochhammer_series, q_series_with_terms, q_stirling
 from .quad import HalflineIntegrand, QuadResult, integrate_halfline
 
@@ -49,19 +49,13 @@ def _check_domain(a, b, p, n: int) -> None:
     _check_p(p)
 
 
-def _b_to_p(b, p):
-    """b**p: a Fraction when the power is rational, else a float."""
-    power = exact_pow(Fraction(b), Fraction(p))
-    return _float_pow(_to_float(b), _to_float(p), "b^p") if power is None else power
-
-
 def _series_ratio(a, b, p) -> Fraction:
-    """y = b^p/a for the single series: exact when b^p and a are rational,
-    else the float quotient taken as a Fraction."""
-    power = _b_to_p(b, p)
-    if _is_exact(power, a):
-        return power / Fraction(a)
-    y = _to_float(power) / _to_float(a)
+    """y = b^p/a for the single series: exact when b^p is rational, else
+    the float quotient taken as a Fraction."""
+    power, cast = _power_arithmetic(b, p)
+    y = power / cast(a)
+    if cast is Fraction:
+        return y
     if math.isinf(y):
         raise _float_range_error("b^p/a", math.log10(power) - math.log10(a))
     return Fraction(y)
@@ -111,7 +105,7 @@ def cf_double_sum(a, b, p, n: int):
     rational.
     """
     _check_domain(a, b, p, n)
-    power = _b_to_p(b, p)
+    power, cast = _power_arithmetic(b, p)
     pf = Fraction(p)
     inner_sums = []
     for k in range(n + 1):
@@ -120,7 +114,6 @@ def cf_double_sum(a, b, p, n: int):
             inner += (-1) ** m * comb(k, m) * rising_factorial(-pf * m, n)
         inner_sums.append(inner)
     exact = _is_exact(power)
-    cast = Fraction if exact else _to_float
     af, bf = cast(a), cast(b)
     weight = 1 / (1 + af / power)
     terms = (cast(inner) * weight**k for k, inner in enumerate(inner_sums))
@@ -198,8 +191,7 @@ def cf_via_q(a, b, p, n: int):
     _check_domain(a, b, p, n)
     if not a > 0:
         raise ValueError("cf_via_q needs a > 0")
-    power = _b_to_p(b, p)
-    cast = Fraction if _is_exact(power) else _to_float
+    power, cast = _power_arithmetic(b, p)
     af, bf = cast(a), cast(b)
     y = power / af
     if y > 1:

@@ -70,6 +70,13 @@ __all__ = [
 # sum whose tail bound is at most _REL_TOL times it, within _MAX_TERMS terms.
 _REL_TOL = Fraction(1e-15)
 _MAX_TERMS = 100_000
+# Next to y = 1 the exact partial sum gains y's bits with every term, so a run
+# costs about terms^2 * (bits of y + 32) before _MAX_TERMS matters. A series
+# whose predicted work passes this budget is refused before it starts. The
+# largest tier-1 case (n = 12, y = 0.9 as a float, p = 11/12) predicts 1.8e8;
+# completing benchmark points reach 7e7, and 1e8 took about 1 s on a 2-core
+# Linux host with Python 3.11.
+_WORK_BUDGET = 3 * 10**8
 
 
 def series_tail_bound(n: int, y: Fraction, p: Fraction, start: int) -> Fraction:
@@ -97,6 +104,36 @@ def series_tail_bound(n: int, y: Fraction, p: Fraction, start: int) -> Fraction:
     return total + (p * k + n) ** n * y**k / (1 - ratio)
 
 
+def _predicted_terms(n: int, y: Fraction, p: Fraction) -> int:
+    """About how many terms the stopping rule takes for 0 < y < 1, if the
+    sum is near 1: the first k, from series_tail_bound's ratio threshold
+    (y ((k+1)/k)^n < 1) on, whose closed-form tail bound
+    (pk+n)^n y^k / (1 - y ((k+1)/k)^n) is at most _REL_TOL. Found in
+    floats by doubling and bisection, as the bound falls past the threshold."""
+    # -log y, clamped to [1e-300, 700] so that the floats below stay finite
+    if y <= Fraction(1, 2):
+        eps = min(math.log(y.denominator) - math.log(y.numerator), 700.0)
+    else:
+        eps = max(-math.log1p(-float(1 - y)), 1e-300)
+    pf, target = float(p), math.log(_REL_TOL)
+
+    def log_tail(k: int) -> float:
+        log_ratio = n * math.log1p(1 / k) - eps
+        if log_ratio >= 0:
+            return math.inf
+        return n * math.log(pf * k + n) - k * eps - math.log(-math.expm1(log_ratio))
+
+    lo = hi = 1 if n == 0 else math.floor(1 / max(math.expm1(eps / n), 1e-300)) + 1
+    while log_tail(hi) > target:
+        if hi > _MAX_TERMS:
+            return hi  # a lower bound, and past what the series may take anyway
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if log_tail(mid) <= target else (mid, hi)
+    return hi
+
+
 def _pochhammer_series(
     n: int, y: Fraction, p: Fraction, descending: bool
 ) -> tuple[Fraction, int]:
@@ -110,9 +147,14 @@ def _pochhammer_series(
     p = u/v and y = c/d in lowest terms, term k is prod_{j<n} (j v - u k) (-c)^k
     over v^n d^k (j v + u k when descending), so the partial sum is an
     integer T over v^n d^k and the stopping test cross-multiplies
-    integers. The total is exact.
+    integers. The total is exact. Raises RuntimeError before summing
+    when the predicted work passes _WORK_BUDGET.
     """
+    name = "descending series" if descending else "q_series"
     u, v, c, d = p.numerator, p.denominator, y.numerator, y.denominator
+    terms = _predicted_terms(n, y, p)
+    if terms**2 * (c.bit_length() + d.bit_length() + 32) > _WORK_BUDGET:
+        raise RuntimeError(f"{name}: needs about {terms:.2g} terms next to y = 1")
     if not descending:
         u = -u
     start = 1 if descending else 0
@@ -135,7 +177,6 @@ def _pochhammer_series(
                 return Fraction(total, vn * den_power), k - start + 1
         power *= -c
         den_power *= d
-    name = "descending series" if descending else "q_series"
     raise RuntimeError(f"{name}: not converged after {_MAX_TERMS} terms")
 
 

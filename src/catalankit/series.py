@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import _to_float, exact_pow
+from .exact import _power_arithmetic, exact_pow
 
 __all__ = [
     "PowerSeries",
@@ -148,7 +148,7 @@ def gf_catalan2(a, b, order: int) -> PowerSeries:
         raise ValueError("gf_catalan2: order must be >= 1")
     if not (a >= 0 and b > 0):
         raise ValueError("gf_catalan2: need a >= 0 and b > 0")
-    num = _to_float if exact_pow(b, Fraction(1, 2)) is None else Fraction
+    _, num = _power_arithmetic(b, Fraction(1, 2))
     # The base keeps its x term at order 1, so a float coefficient 0 is rounded
     # as at every order (by a Newton step); the root is cut to order instead.
     base = PowerSeries((num(b), num(-1)) + (num(0),) * max(0, order - 2))

@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-import math
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -215,15 +214,44 @@ def test_hyp_unbounded_past_float_range_is_skipped(capsys):
 
 
 def test_overflowed_rows_are_not_agreement(capsys):
-    # gf_coefficient and legendre_sec2 overflow to inf; every other row is skipped
+    # gf_coefficient and legendre_sec2 overflow to inf, so they are skipped
+    # like every other row; the quadrature's division by zero makes it exit 1
     code, out, _ = run_cli(capsys, "c2", "--a", "1e-150", "--b", "2e-300", "--n", "1",
                            "--format", "json")
     assert code == 1
     data = json.loads(out)
-    compared = [row for row in data["results"] if not row["skipped"]]
-    assert [row["rep"] for row in compared] == ["gf_coefficient", "legendre_sec2"]
-    assert all(row["value"] == math.inf for row in compared)
-    assert data["max_pairwise_rel_diff"] == math.inf
+    assert all(row["skipped"] for row in data["results"])
+    rows = {row["rep"]: row for row in data["results"]}
+    for rep in ("gf_coefficient", "legendre_sec2"):
+        assert rows[rep]["note"] == "value overflowed"
+    assert data["max_pairwise_rel_diff"] is None
+
+
+def test_one_compared_row_is_not_a_cross_check(capsys):
+    # every row but gf_coefficient is skipped: `all` has nothing to compare it with
+    argv = ("c2", "--a", "1e300", "--b", "2e-300", "--n", "0")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out.endswith("\nnote: only one compared row ran, so nothing was cross-checked\n")
+    # a single --rep compares nothing by design, and keeps its exit code
+    code, out, err = run_cli(capsys, *argv, "--rep", "gf_coefficient")
+    assert (code, err) == (0, "")
+    assert "note:" not in out
+
+
+def test_non_finite_values_are_skipped_rows(capsys):
+    # the true value is about 7.4e324, past the float range
+    argv = ("c2", "--a", "1e-10", "--b", "15e-21", "--n", "16")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert "Infinity" not in out and "NaN" not in out
+    notes = {row["rep"]: row["note"] for row in json.loads(out)["results"]}
+    for rep in ("double_factorial", "hyp_closed", "jacobi", "hyp_unbounded", "legendre_sec2"):
+        assert notes[rep] == "value overflowed"
+    assert notes["gf_coefficient"] == "value is not a number"
+    assert notes["quadrature"] == "float division by zero"
+    assert code == 1  # every row skipped, and the quadrature failed at valid input
+    code, out, err = run_cli(capsys, *argv, "--rep", "gf_coefficient")
+    assert (code, out, err) == (2, "", "error: value is not a number\n")
 
 
 @pytest.mark.parametrize(
@@ -255,6 +283,7 @@ def test_exact_and_skipped_follow_the_value(capsys, argv):
 @pytest.mark.parametrize(
     "argv, reasons",
     [
+        # gf_coefficient (an underflowed 0) is the one row left: exit 1
         (("c2", "--a", "1e300", "--b", "2", "--n", "5"),
          {"double_factorial": "(1+a/sqrt(b))^(k+1) about 1e+600 is outside float range",
           "hyp_closed": "(a+sqrt(b))^(n+1) about 1e+1800 is outside float range",
@@ -271,8 +300,9 @@ def test_exact_and_skipped_follow_the_value(capsys, argv):
 )
 def test_float_power_past_range_skips_the_row(capsys, argv, reasons):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
-    assert code == 0
     rows = {row["rep"]: row for row in json.loads(out)["results"]}
+    # the rows agree; a single row left cross-checks nothing and exits 1
+    assert code == (1 if sum(not row["skipped"] for row in rows.values()) == 1 else 0)
     for rep, reason in reasons.items():
         assert rows[rep]["skipped"] is True
         assert rows[rep]["note"] == reason
@@ -397,6 +427,7 @@ def test_flags_and_echo_follow_the_quantity_table(capsys, command, flags):
     assert [item.split("=")[0] for item in header[1:]] == [*flags, *rest]
 
 
+SERIES_WORK_ERROR = "descending series: needs about 1.4e+04 terms next to y = 1"
 MAP_OVERFLOW = "the map t = (u/(1-u))^24 leaves the float range at u = 0.9999999999998757"
 
 
@@ -413,13 +444,14 @@ MAP_OVERFLOW = "the map t = (u/(1-u))^24 leaves the float range at u = 0.9999999
     # the terminating 2F1's argument overflows to -inf: outside the float range
     (("c2", "--a", "1e300", "--b", "2e-300", "--n", "0", "--rep", "hyp_closed"),
      2, "error: argument z = -inf is not finite\n", None),
+    # gf_coefficient is the one compared row left, so nothing is cross-checked
     (("c2", "--a", "1e300", "--b", "2e-300", "--n", "0"),
-     0, "", ("hyp_closed", "argument z = -inf is not finite")),
+     1, "", ("hyp_closed", "argument z = -inf is not finite")),
     # so does the double-factorial sum's base 1 + a/sqrt(b); its row once read 0
     (("c2", "--a", "1e300", "--b", "2e-300", "--n", "0", "--rep", "double_factorial"),
      2, "error: 1+a/sqrt(b) about 1e+450 is outside float range\n", None),
     (("c2", "--a", "1e300", "--b", "2e-300", "--n", "0"),
-     0, "", ("double_factorial", "1+a/sqrt(b) about 1e+450 is outside float range")),
+     1, "", ("double_factorial", "1+a/sqrt(b) about 1e+450 is outside float range")),
     # decay exponent 1.01 clamps the map's power at 24, so t overflows near u = 1;
     # the remaining tail mass is not negligible, so the route fails
     (("functional", "--a", "1", "--b", "1", "--p", "1/100", "--n", "0", "--rep", "quadrature"),
@@ -430,10 +462,17 @@ MAP_OVERFLOW = "the map t = (u/(1-u))^24 leaves the float range at u = 0.9999999
     # overflowed a^2 once made it a lone 0 that passed, is skipped too
     (("functional", "--a", "1.23e168", "--b", "2.78e-167", "--p", "1/6", "--n", "3"),
      1, "", ("quadrature", "a^2 about 1e+336 is outside float range")),
+    # the single series next to y = 1 (x about 0.99) is refused before it
+    # sums; under `all` double_sum and quadrature still run and agree
+    (("functional", "--a", "1.4", "--b", "2", "--p", "1/2", "--n", "12", "--rep", "series"),
+     1, f"error: {SERIES_WORK_ERROR}\n", None),
+    (("functional", "--a", "1.4", "--b", "2", "--p", "1/2", "--n", "12"),
+     0, "", ("series", SERIES_WORK_ERROR)),
 ], ids=["series_budget_alone", "series_budget_in_all", "zero_division_alone",
         "infinite_argument_alone", "infinite_argument_in_all",
         "infinite_base_alone", "infinite_base_in_all",
-        "map_overflow_alone", "map_overflow_in_all", "square_past_range_in_all"])
+        "map_overflow_alone", "map_overflow_in_all", "square_past_range_in_all",
+        "series_work_alone", "series_work_in_all"])
 def test_row_errors_end_in_an_exit_code_and_a_message(capsys, argv, code, err, skipped):
     start = time.perf_counter()
     got, out, got_err = run_cli(capsys, *argv, "--format", "json")

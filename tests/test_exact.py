@@ -287,6 +287,23 @@ def test_exact_pow():
     assert exact_pow(Fraction(3), Fraction(0.1)) is None
 
 
+def test_power_arithmetic_pairs_the_power_with_its_arithmetic():
+    power_arithmetic = catalankit.exact._power_arithmetic
+    to_float = catalankit.exact._to_float
+    assert power_arithmetic(Fraction(9, 4), Fraction(1, 2)) == (Fraction(3, 2), Fraction)
+    assert power_arithmetic(8, Fraction(2, 3)) == (4, Fraction)
+    # an irrational root: math.sqrt at p = 1/2, the float power otherwise
+    b = 2.315
+    assert b**0.5 != math.sqrt(b)
+    assert power_arithmetic(b, Fraction(1, 2)) == (math.sqrt(b), to_float)
+    assert power_arithmetic(2, Fraction(1, 3)) == (2.0 ** (1 / 3), to_float)
+    # the float stand-in keeps the range errors of the float of b and of b^p
+    with pytest.raises(ValueError, match=r"value about 1e\+400 is outside float range"):
+        power_arithmetic(2 * Fraction(10) ** 400, Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"b\^p about 1e\+450 is outside float range"):
+        power_arithmetic(2 * Fraction(10) ** 300, Fraction(3, 2))
+
+
 @given(
     st.fractions(min_value=Fraction(-4), max_value=4),
     st.integers(min_value=0, max_value=8),

@@ -90,6 +90,15 @@ def test_series_max_terms_exhausted(monkeypatch):
             series(Fraction(10, 9), Fraction(81, 100), HALF, 6)
 
 
+def test_series_ratio_takes_the_sqrt_b_of_c2():
+    # 2.315 ** 0.5 and math.sqrt(2.315) differ in the last bit; at p = 1/2
+    # the functional uses math.sqrt, the float of sqrt(b) that c2 uses
+    b = 2.315
+    assert b**0.5 != math.sqrt(b)
+    for a in (3, 1):  # ascending and descending branch
+        assert cf_series_detailed(a, b, HALF, 2).ratio == math.sqrt(b) / a
+
+
 def test_series_boundary_rejected():
     with pytest.raises(ValueError, match="cf_via_q"):
         cf_series_detailed(2, 4, HALF, 1)

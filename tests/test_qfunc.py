@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from catalankit.exact import Polynomial, RationalFunction, rising_factorial
 from catalankit.functional import cf_series_detailed
 from catalankit.qfunc import (
+    _pochhammer_series,
+    _predicted_terms,
     boyadzhiev_check,
     pochhammer_derivative_check,
     q_derivative_form_check,
@@ -245,6 +247,32 @@ def test_descending_series_matches_plain_fraction_sum(n, x, p):
     ev = cf_series_detailed(a, 1, p, n)
     assert ev.branch == "descending"
     assert (ev.value, ev.terms) == (-float(total) / (float(a) * factorial(n)), terms)
+
+
+@pytest.mark.parametrize("n, y, p", [
+    (0, Fraction(1, 2), Fraction(1, 2)),
+    (6, Fraction(9, 10), Fraction(1, 2)),
+    (5, Fraction(0.7), Fraction(1, 3)),
+    (3, Fraction(19, 20), Fraction(1, 3)),
+])
+def test_predicted_terms_are_close_to_the_terms_taken(n, y, p):
+    _, terms = _pochhammer_series(n, y, p, descending=False)
+    assert terms / 2 <= _predicted_terms(n, y, p) <= 2 * terms
+
+
+@pytest.mark.parametrize("n, y", [
+    (1, Fraction(1, 10**450)),  # -log y past the float range
+    (12, 1 - Fraction(1, 10**500)),  # 1 - y below the float range
+    (10**6, Fraction(1, 2)),
+])
+def test_predicted_terms_stay_finite_at_the_extremes(n, y):
+    assert _predicted_terms(n, y, Fraction(1, 2)) >= 1
+
+
+def test_work_budget_refuses_before_summing():
+    # q --n 12 --y 0.999 would need more than 100000 exact terms
+    with pytest.raises(RuntimeError, match="q_series: needs about .* terms next to y = 1"):
+        q_series_with_terms(12, Fraction(999, 1000), Fraction(1, 2))
 
 
 def test_stirling_domain():

@@ -57,16 +57,18 @@ def test_exact_values_past_float_range_are_compared_exactly(grid, capsys):
 
 
 def test_a_failing_route_drops_out_as_in_the_cli(grid, capsys):
-    # at n = 1 the quadrature integrand divides by zero (skipped, as
-    # `--rep all` skips it); the float rows that overflow to inf agree
-    # with nothing, as in `max_pairwise_rel_diff`
-    assert grid.main(["--a", "1e-150", "--b", "2e-300", "--nmax", "1"]) == 1
+    # at n = 1 the quadrature integrand divides by zero, and gf_coefficient
+    # and legendre_sec2 overflow to inf: `--rep all` skips all three rows,
+    # so the grid leaves them out and compares only the n = 0 rows
+    a, b = Fraction("1e-150"), Fraction("2e-300")
+    assert grid.evaluate_point(a, b, 1, 1e-10) == {}
+    assert grid.main(["--a", "1e-150", "--b", "2e-300", "--nmax", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "2 grid points, threshold 1e-08"
-    assert lines[2].startswith("gf_coefficient vs legendre_sec2           inf  ")
-    assert lines[2].endswith("FAIL")
-    assert all(line.endswith("ok") for line in lines[3:-2])
-    assert lines[-1] == "1 pair(s) above threshold"
+    assert [line.split(" vs ")[0] for line in lines[2:-2]] == [
+        "double_factorial", "double_factorial", "gf_coefficient"]
+    assert all(line.endswith("ok") for line in lines[2:-2])
+    assert lines[-1] == "all pairs within threshold"
 
 
 def test_quadrature_tolerance_follows_the_threshold(grid, monkeypatch, capsys):
