@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .catalan2 import _check_domain as _check_c2_domain, c2_hyp_closed
 from .exact import _check_p, _exact_or_float, _float_pow, _float_range_error, _is_exact
-from .exact import _power_arithmetic, _to_float, rising_factorial
+from .exact import _power_arithmetic, _to_float
 from .qfunc import _pochhammer_series, q_series_with_terms, q_stirling
 from .quad import HalflineIntegrand, QuadResult, integrate_halfline
 
@@ -98,21 +98,22 @@ def cf_double_sum(a, b, p, n: int):
 
     The inner sum is the k-th finite difference of the degree-n
     polynomial m -> (-pm)_n, so terms with k > n vanish and the outer
-    sum is finite. Inner sums cancel heavily and are always accumulated
-    in exact rational arithmetic, the outer sum in floats when b^p is
-    irrational (weight = 1/(1 + a/b^p) lies in (0, 1], so its powers do
-    not overflow); the result is a Fraction when a, b, p and b^p are all
-    rational.
+    sum is finite. Inner sums cancel heavily and are always exact: with
+    p = u/v, (-pm)_n is the integer prod_{j<n} (jv - um) over v^n, found
+    once per m, so each inner sum is one integer over v^n. The outer sum
+    runs in floats when b^p is irrational (weight = 1/(1 + a/b^p) lies in
+    (0, 1], so its powers do not overflow); the result is a Fraction when
+    a, b, p and b^p are all rational.
     """
     _check_domain(a, b, p, n)
     power, cast = _power_arithmetic(b, p)
-    pf = Fraction(p)
-    inner_sums = []
-    for k in range(n + 1):
-        inner = Fraction(0)
-        for m in range(k + 1):
-            inner += (-1) ** m * comb(k, m) * rising_factorial(-pf * m, n)
-        inner_sums.append(inner)
+    u, v = Fraction(p).as_integer_ratio()
+    pochhammer = [math.prod(j * v - u * m for j in range(n)) for m in range(n + 1)]
+    vn = v**n
+    inner_sums = [
+        Fraction(sum((-1) ** m * comb(k, m) * pochhammer[m] for m in range(k + 1)), vn)
+        for k in range(n + 1)
+    ]
     exact = _is_exact(power)
     af, bf = cast(a), cast(b)
     weight = 1 / (1 + af / power)

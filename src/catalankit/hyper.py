@@ -3,11 +3,11 @@
 The parameters choose one of two regimes:
 
 * terminating: an upper parameter -m that is a nonpositive integer cuts
-  the series off after index m (the smallest such m wins); the finite
-  sum is then carried out exactly, as integer numerators over one
-  running integer denominator, and rounded once at the end, so
-  terminating evaluations are immune to cancellation between large
-  alternating terms.
+  the series off after index m (the smallest such m wins, and m may not
+  pass _MAX_TERMS); the finite sum is then carried out exactly, as
+  integer numerators over one running integer denominator, and rounded
+  once at the end, so terminating evaluations are immune to
+  cancellation between large alternating terms.
 * convergent: otherwise, floating-point summation for |z| < 1, stopping
   once the current term is below _REL_TOL relative to the partial sum
   for three consecutive terms, within _MAX_TERMS terms.
@@ -44,7 +44,8 @@ class HypergeometricError(ValueError):
 
 
 class HypConvergenceError(RuntimeError):
-    """Convergent-mode summation did not settle within _MAX_TERMS terms."""
+    """Convergent-mode summation did not settle within _MAX_TERMS terms, or
+    a terminating series would sum more than _MAX_TERMS terms."""
 
 
 def _nonpositive_int(x) -> int | None:
@@ -71,8 +72,11 @@ def _sum_terminating(upper, lower, z, k_max: int) -> Fraction:
     and the partial sum are kept as integer numerators over one running
     denominator, the product of the Q_k, so no step takes a gcd; only the
     result becomes a Fraction. The early stop tests the upper factors
-    alone, so z = 0 still reaches the lower-parameter pole check.
+    alone, so z = 0 still reaches the lower-parameter pole check. A cut
+    k_max past _MAX_TERMS raises HypConvergenceError before any term.
     """
+    if k_max > _MAX_TERMS:
+        raise HypConvergenceError(f"terminating series needs more than {_MAX_TERMS} terms")
     if isinstance(z, float) and not math.isfinite(z):
         raise HypergeometricError(f"argument z = {z} is not finite")
     up = [Fraction(u).as_integer_ratio() for u in upper]

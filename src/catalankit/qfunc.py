@@ -88,20 +88,33 @@ def series_tail_bound(n: int, y: Fraction, p: Fraction, start: int) -> Fraction:
     is at most B_k/(1-r); earlier bounds are added explicitly. The same
     bound covers |(pk)_n| (every factor is at most pk+n there too), so
     the descending-branch series shares it.
+
+    Computed on integers: with y = c/d, p = u/v and k0 = max(start, 1),
+    the threshold K is the first k >= k0 with c (k+1)^n < d k^n, and the
+    bound is [sum_{k0<=k<K} (uk+nv)^n c^k d^(K-k) E + (uK+nv)^n c^K d K^n]
+    over v^n d^K E, with E = d K^n - c (K+1)^n > 0, plus 1 for the k = 0
+    term when n = 0 and start = 0. Only the result becomes a Fraction.
     """
     if not 0 <= y < 1:
         raise ValueError(f"series_tail_bound needs 0 <= y < 1, got {y!r}")
     if y == 0:
         return Fraction(0)
-    total = Fraction(0)
+    u, v, c, d = p.numerator, p.denominator, y.numerator, y.denominator
+    nv = n * v
     k = max(start, 1)
-    if start == 0 and n == 0:
-        total += 1
-    while y * Fraction(k + 1, k) ** n >= 1:
-        total += (p * k + n) ** n * y**k
+    below, c_k, k_n = 0, c**k, k**n  # sum_{k0<=k<K} (uk+nv)^n c^k d^(K-1-k), c^k, k^n
+    next_n = (k + 1) ** n
+    while c * next_n >= d * k_n:
+        below = below * d + (u * k + nv) ** n * c_k
         k += 1
-    ratio = y * Fraction(k + 1, k) ** n
-    return total + (p * k + n) ** n * y**k / (1 - ratio)
+        c_k *= c
+        k_n, next_n = next_n, (k + 1) ** n
+    excess = d * k_n - c * next_n  # E > 0
+    num = below * d * excess + (u * k + nv) ** n * c_k * d * k_n
+    den = v**n * d**k * excess
+    if start == 0 and n == 0:
+        num += den
+    return Fraction(num, den)
 
 
 def _predicted_terms(n: int, y: Fraction, p: Fraction) -> int:

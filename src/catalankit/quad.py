@@ -18,13 +18,15 @@ and within 1/24 a transformed integrand that does not vanish there.
 On (0, 1) a global adaptive loop applies a 15-point Kronrod rule with
 embedded 7-point Gauss rule per interval, always splitting the interval
 with the largest error estimate (ties broken toward the left), until the
-summed |K15 - G7| differences drop below the requested tolerance. All
-arithmetic is ordinary float arithmetic in a fixed order, so identical
-inputs produce bit-identical results.
+summed |K15 - G7| differences drop below the requested tolerance. The
+two totals are exact sums of the intervals' floats, rounded once as
+math.fsum rounds them; all other arithmetic is ordinary float arithmetic
+in a fixed order, so identical inputs produce bit-identical results.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from typing import Callable, NamedTuple
@@ -106,6 +108,16 @@ def _gk15(h: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
     return half * sk, abs(half * (sk - sg))
 
 
+# Every finite float is an integer number of 2^-1074 units.
+_UNITS = 1 << 1074
+
+
+def _units(x: float) -> int:
+    """The finite float x in units of 2^-1074, exactly."""
+    num, den = x.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
 def integrate_halfline(g: HalflineIntegrand, tol: float) -> QuadResult:
     """Integrate g.f over [0, inf) to relative tolerance ``tol``.
 
@@ -115,7 +127,7 @@ def integrate_halfline(g: HalflineIntegrand, tol: float) -> QuadResult:
     drawn by `beta_cases`.
     Deterministic: identical inputs give bit-identical results. Raises
     QuadratureError when the _MAX_EVALS evaluation budget runs out first,
-    or when the map's t leaves the float range.
+    or when the map's t or a Kronrod sum leaves the float range.
     """
     if not 1e-14 <= tol <= 1e-3:
         raise ValueError("integrate_halfline: tol must lie in [1e-14, 1e-3]")
@@ -142,18 +154,29 @@ def integrate_halfline(g: HalflineIntegrand, tol: float) -> QuadResult:
         v = f(t) * jac
         return v if math.isfinite(v) else 0.0
 
-    npanels = 8
-    intervals: list[tuple[float, float, float, float]] = []
-    evals = 0
-    for i in range(npanels):
-        lo, hi = i / npanels, (i + 1) / npanels
+    # A heap of (-err, lo, hi, val): its top is the interval with the largest
+    # error estimate, ties broken toward the left. The values and errors are
+    # also summed exactly in units of 2^-1074, so each total is math.fsum of
+    # the current intervals.
+    heap: list[tuple[float, float, float, float]] = []
+    val_sum = err_sum = 0
+
+    def push(lo: float, hi: float) -> None:
+        nonlocal val_sum, err_sum
         val, err = _gk15(h, lo, hi)
+        if not (math.isfinite(val) and math.isfinite(err)):
+            raise QuadratureError(f"the Kronrod sums on [{lo}, {hi}] leave the float range")
+        val_sum += _units(val)
+        err_sum += _units(err)
+        heapq.heappush(heap, (-err, lo, hi, val))
+
+    evals = 0
+    for i in range(8):
+        push(i / 8, (i + 1) / 8)
         evals += 15
-        intervals.append((lo, hi, val, err))
 
     while True:
-        total = math.fsum(iv[2] for iv in intervals)
-        toterr = math.fsum(iv[3] for iv in intervals)
+        total, toterr = val_sum / _UNITS, err_sum / _UNITS
         if toterr <= max(tol * abs(total), 1e-300):
             break
         if evals + 30 > _MAX_EVALS:
@@ -161,18 +184,16 @@ def integrate_halfline(g: HalflineIntegrand, tol: float) -> QuadResult:
                 f"evaluation budget {_MAX_EVALS} exhausted: "
                 f"value={total!r} abs_err_est={toterr!r} evaluations={evals}"
             )
-        worst = max(
-            range(len(intervals)), key=lambda j: (intervals[j][3], -intervals[j][0])
-        )
-        lo, hi, _, _ = intervals.pop(worst)
+        neg_err, lo, hi, val = heapq.heappop(heap)
+        val_sum -= _units(val)
+        err_sum -= _units(-neg_err)
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             raise QuadratureError(
                 f"interval [{lo}, {hi}] cannot be split further at tol={tol}"
             )
-        for a, b in ((lo, mid), (mid, hi)):
-            val, err = _gk15(h, a, b)
-            intervals.append((a, b, val, err))
+        push(lo, mid)
+        push(mid, hi)
         evals += 30
     return QuadResult(value=total, abs_err_est=toterr, evaluations=evals)
 

@@ -6,6 +6,7 @@ so most float routes meet the edges of the float range.
 """
 
 import io
+import json
 import random
 import signal
 import time
@@ -96,11 +97,7 @@ INTEGRAND_OVERFLOWS = 9
 # Sweep inputs that still run past the deadline, with the open item that owns
 # each. The sweep checks, at a quarter of the deadline, that they still do, as
 # xfail(strict=True) would: a fix must take its input off this list.
-PAST_DEADLINE = {
-    ("c2", "--a", "1e-241", "--b", "3.7e45", "--n", "5", "--rep", "all", "--format", "csv"):
-        "ROADMAP item 5: unscaled, the quadrature at b = 3.7e45 takes 340920 "
-        "evaluations and about 30 s",
-}
+PAST_DEADLINE: dict[tuple[str, ...], str] = {}
 
 
 def test_seeded_sweep_keeps_the_contract():
@@ -132,6 +129,18 @@ def test_seeded_sweep_keeps_the_contract():
     pytest.param(("c2", "--a", "1", "--b", "4", "--n", "60"), marks=pytest.mark.xfail(
         raises=OverflowError, strict=True,
         reason="ROADMAP item 5: the quadrature integrand overflows")),
+    # 1 - 3/p = 1 - 10**65 cuts the terminating series past its term budget
+    ("q", "--n", "6", "--y", "1.5e-207", "--p", "3e-65", "--rep", "hyp"),
+    ("q", "--n", "6", "--y", "1.5e-207", "--p", "3e-65", "--rep", "all"),
 ])
 def test_named_inputs_keep_the_contract(argv):
     assert_contract(argv)
+
+
+def test_a_terminating_series_past_its_budget_fails_its_row_only():
+    q = ("q", "--n", "6", "--y", "1.5e-207", "--p", "3e-65")
+    assert run((*q, "--rep", "hyp")) == (1, "")
+    code, out = run((*q, "--rep", "all", "--format", "json"))
+    rows = {row["rep"]: row for row in json.loads(out)["results"]}
+    assert code == 0 and rows["hyp"]["skipped"] is True
+    assert rows["hyp"]["note"] == "terminating series needs more than 100000 terms"

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from catalankit import qfunc
 from catalankit.catalan2 import c2_hyp_closed
+from catalankit.exact import _power_arithmetic, _to_float, rising_factorial
 from catalankit.functional import (
     cf_double_sum,
     cf_half_reduction_check,
@@ -140,6 +142,32 @@ def test_half_reduction_is_exact_comparison():
     rhs = c2_hyp_closed(1, 4, 3)
     assert isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
     assert lhs == rhs
+
+
+def _rising_factorial_double_sum(a, b, p, n):
+    """cf_double_sum with each inner sum built from rising_factorial
+    Fractions, term by term; the outer sum as the library takes it."""
+    power, cast = _power_arithmetic(b, p)
+    inner = [sum((-1) ** m * comb(k, m) * rising_factorial(-Fraction(p) * m, n)
+                 for m in range(k + 1)) for k in range(n + 1)]
+    weight = 1 / (1 + cast(a) / power)
+    terms = [cast(Fraction(x)) * weight**k for k, x in enumerate(inner)]
+    if cast is Fraction:
+        return sum(terms, Fraction(0)) / ((a + power) * factorial(n) * Fraction(b) ** n)
+    return _to_float(math.fsum(terms) / ((cast(a) + power) * factorial(n) * cast(b) ** n))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_double_sum_equals_the_rising_factorial_formula(n):
+    # exact at rational b^p; bit for bit on the float path
+    for a, b, p in [(1, 4, HALF), (Fraction(2, 3), 8, Fraction(2, 3)), (0, 1, Fraction(5, 7)),
+                    (3, Fraction(9, 4), HALF), (7, 1, Fraction(37, 100))]:
+        got = cf_double_sum(a, b, p, n)
+        assert isinstance(got, Fraction) and got == _rising_factorial_double_sum(a, b, p, n)
+    for a, b, p in [(1, 2, Fraction(1, 3)), (0.3, 5, HALF), (2.5, 0.7, Fraction(4, 11)),
+                    (1e-3, 3.7, 0.37)]:
+        got = cf_double_sum(a, b, p, n)
+        assert isinstance(got, float) and got == _rising_factorial_double_sum(a, b, p, n)
 
 
 def test_double_sum_allows_a_zero():

@@ -178,6 +178,16 @@ def test_convergence_budget_enforced(monkeypatch):
         pfq_series((0.5, 1.5), (2.5,), 0.999)
 
 
+def test_terminating_budget_refuses_before_summing(monkeypatch):
+    # a cut of 10**65 terms once summed without end; now it raises at once
+    with pytest.raises(HypConvergenceError, match="needs more than 100000 terms"):
+        pfq_series((-(10**65), 2), (Fraction(1, 3),), Fraction(-1, 2))
+    monkeypatch.setattr(hyper, "_MAX_TERMS", 3)
+    assert pfq_series((-3, 1), (1,), -1) == 1 + 3 + 3 + 1
+    with pytest.raises(HypConvergenceError, match="needs more than 3 terms"):
+        jacobi_p(4, 0, 0, Fraction(1, 2))
+
+
 @pytest.mark.parametrize(
     "n, alpha, beta, x",
     [

@@ -5,6 +5,7 @@ The partial-fraction table (n = 0..4) and the z = y+1 bracket rows
 carries the degree repair -14z -> -14z^2 (see the errata command).
 """
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -204,6 +205,33 @@ def test_tail_bound_domain():
     with pytest.raises(ValueError, match="0 <= y < 1"):
         series_tail_bound(2, Fraction(-1, 2), Fraction(1, 2), 1)
     assert series_tail_bound(2, Fraction(0), Fraction(1, 2), 1) == 0
+
+
+def _fraction_tail_bound(n, y, p, start):
+    """series_tail_bound as the loop it restates on integers: B_k =
+    (pk+n)^n y^k added explicitly while y ((k+1)/k)^n >= 1, then
+    B_k/(1 - that ratio), all in Fraction arithmetic."""
+    if y == 0:
+        return Fraction(0)
+    total = Fraction(1 if start == 0 and n == 0 else 0)
+    k = max(start, 1)
+    while y * Fraction(k + 1, k) ** n >= 1:
+        total += (p * k + n) ** n * y**k
+        k += 1
+    return total + (p * k + n) ** n * y**k / (1 - y * Fraction(k + 1, k) ** n)
+
+
+def test_tail_bound_equals_the_fraction_loop():
+    # thresholds run from k = 1 to about 130 (n = 14 at y = 0.9); the starts
+    # fall on both sides of each
+    rng = random.Random(18)
+    ys = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(5, 7),
+          Fraction(9, 10), Fraction(0.3), Fraction(0.9), Fraction(0.0625)]
+    for n in range(15):
+        for y in ys:
+            p = Fraction(rng.randint(1, 11), 12)
+            for start in (0, 1, rng.randint(2, 40), rng.randint(41, 200)):
+                assert series_tail_bound(n, y, p, start) == _fraction_tail_bound(n, y, p, start)
 
 
 def _plain_fraction_series(n, y, p, tol, descending):

@@ -110,6 +110,23 @@ def test_map_leaving_the_float_range_raises():
         integrate_halfline(g, 1e-10)
 
 
+def test_kronrod_sums_past_the_float_range_raise_at_once():
+    # these sums once went on to exhaust the budget, value=inf abs_err_est=nan
+    g = HalflineIntegrand(lambda t: 1e308 / (1.0 + t) ** 2, 0.0, 2.0)
+    with pytest.raises(QuadratureError, match=r"Kronrod sums on \[.*\] leave the float range"):
+        integrate_halfline(g, 1e-10)
+
+
+def test_unit_sums_round_as_fsum():
+    # the running totals are exact sums in 2^-1074 units, rounded once
+    rng = random.Random(11)
+    for _ in range(300):
+        xs = [rng.choice([-1.0, 1.0]) * rng.random() * 2.0 ** rng.randint(-1074, 1000)
+              for _ in range(rng.randint(1, 40))]
+        xs += [-x for x in xs[: rng.randint(0, len(xs))]]
+        assert sum(map(quad._units, xs)) / quad._UNITS == math.fsum(xs)
+
+
 @pytest.mark.parametrize(
     "alpha, beta, gamma, z",
     [
