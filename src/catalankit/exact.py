@@ -420,6 +420,14 @@ def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(v).monic() if len(v) > 1 else Polynomial([1])
 
 
+def _cancel_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """(a/g, b/g) with g the monic gcd of a and b, not both zero."""
+    g = _poly_gcd(a, b)
+    if g.degree == 0:
+        return a, b
+    return _poly_divmod(a, g)[0], _poly_divmod(b, g)[0]
+
+
 class RationalFunction:
     """Quotient of two Polynomials, stored reduced with a monic denominator.
 
@@ -428,6 +436,14 @@ class RationalFunction:
     den is monic. The monic gcd is unique, so the stored (num, den) is the
     unique normal form whichever gcd algorithm computed it; two equal
     rational functions have equal fields.
+
+    Scaling, negation, products and derivatives start from reduced
+    operands, so they divide out only what can cancel (Henrici's rule,
+    Knuth, TAOCP Vol. 2, 4.5.1) and store the result by ``_coprime``:
+    (a/b)(c/d) needs only gcd(a, d) and gcd(c, b), and (N/D)' =
+    (N' D/g - N D'/g) / (D D/g) with g = gcd(D, D') is reduced in
+    characteristic 0. Their denominators are products of monic ones, so
+    none needs scaling either. Addition runs the full constructor.
     """
 
     __slots__ = ("num", "den")
@@ -439,13 +455,19 @@ class RationalFunction:
         if num.is_zero():
             den = Polynomial([1])
         else:
-            g = _poly_gcd(num, den)
-            if g.degree > 0:
-                num, _ = _poly_divmod(num, g)
-                den, _ = _poly_divmod(den, g)
+            num, den = _cancel_gcd(num, den)
         lead = den.coeffs[-1]
         self.num = num * (1 / Fraction(lead))
         self.den = den.monic()
+
+    @classmethod
+    def _coprime(cls, num: Polynomial, den: Polynomial) -> RationalFunction:
+        """num/den stored as given: the constructor's normal form when num
+        and den are coprime and den is monic (1 when num is zero). Every
+        caller's den is a product of monic polynomials."""
+        self = object.__new__(cls)
+        self.num, self.den = num, den
+        return self
 
     def __add__(self, other):
         other = _as_ratfun(other)
@@ -456,7 +478,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._coprime(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-_as_ratfun(other))
@@ -465,15 +487,23 @@ class RationalFunction:
         return _as_ratfun(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                return RationalFunction(0)
+            return RationalFunction._coprime(self.num * other, self.den)
         other = _as_ratfun(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        if self.num.is_zero() or other.num.is_zero():
+            return RationalFunction(0)
+        a, d = _cancel_gcd(self.num, other.den)
+        c, b = _cancel_gcd(other.num, self.den)
+        return RationalFunction._coprime(a * c, b * d)
 
     __rmul__ = __mul__
 
     def derivative(self) -> RationalFunction:
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
+        den_g, dden_g = _cancel_gcd(self.den, self.den.derivative())  # D/g, D'/g
+        return RationalFunction._coprime(
+            self.num.derivative() * den_g - self.num * dden_g, self.den * den_g
         )
 
     def __call__(self, x):

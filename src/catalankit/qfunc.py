@@ -79,8 +79,8 @@ _MAX_TERMS = 100_000
 _WORK_BUDGET = 3 * 10**8
 
 
-def series_tail_bound(n: int, y: Fraction, p: Fraction, start: int) -> Fraction:
-    """Upper bound on sum_{k>=start} |(-pk)_n| y^k, for 0 <= y < 1.
+def series_tail_bound(n: int, y, p, start: int) -> Fraction:
+    """Upper bound on sum_{k>=start} |(-pk)_n| y^k, for 0 <= y < 1, p > 0.
 
     Each factor of (-pk)_n is at most pk+n in magnitude, so the k-th
     term is bounded by B_k = (pk+n)^n y^k, and B_{k+1}/B_k <=
@@ -94,16 +94,38 @@ def series_tail_bound(n: int, y: Fraction, p: Fraction, start: int) -> Fraction:
     bound is [sum_{k0<=k<K} (uk+nv)^n c^k d^(K-k) E + (uK+nv)^n c^K d K^n]
     over v^n d^K E, with E = d K^n - c (K+1)^n > 0, plus 1 for the k = 0
     term when n = 0 and start = 0. Only the result becomes a Fraction.
+    When k0 is already past the threshold (K = k0, the common case inside
+    a series), that is y^K times (uK+nv)^n d K^n / (v^n E): the power of
+    the reduced y needs no gcd, and each gcd of the product pairs the
+    huge y^K with a small integer, so no gcd of two huge integers runs.
+
+    Raises ValueError for n that is not a nonnegative integer, for
+    p <= 0, for start < 0 and for y outside [0, 1). A float y or p is
+    taken as the Fraction it equals (Fraction refuses NaN and infinities).
+    The checks read integers only, as the series calls this once per term.
     """
-    if not 0 <= y < 1:
-        raise ValueError(f"series_tail_bound needs 0 <= y < 1, got {y!r}")
-    if y == 0:
-        return Fraction(0)
+    _check_n(n)
+    if start < 0:
+        raise ValueError(f"series_tail_bound needs start >= 0, got {start!r}")
+    if not isinstance(y, (int, Fraction)):
+        y = Fraction(y)
+    if not isinstance(p, (int, Fraction)):
+        p = Fraction(p)
     u, v, c, d = p.numerator, p.denominator, y.numerator, y.denominator
+    if u <= 0:
+        raise ValueError(f"series_tail_bound needs p > 0, got {p}")
+    if not 0 <= c < d:
+        raise ValueError(f"series_tail_bound needs 0 <= y < 1, got {y}")
+    if c == 0:
+        return Fraction(0)
     nv = n * v
     k = max(start, 1)
-    below, c_k, k_n = 0, c**k, k**n  # sum_{k0<=k<K} (uk+nv)^n c^k d^(K-1-k), c^k, k^n
-    next_n = (k + 1) ** n
+    k_n, next_n = k**n, (k + 1) ** n
+    if c * next_n < d * k_n:  # K = k0
+        bound = y**k * Fraction((u * k + nv) ** n * d * k_n, v**n * (d * k_n - c * next_n))
+        return bound + 1 if start == 0 and n == 0 else bound
+    # n >= 1 from here: at n = 0 every k0 is past the threshold
+    below, c_k = 0, c**k  # sum_{k0<=k<K} (uk+nv)^n c^k d^(K-1-k), c^k
     while c * next_n >= d * k_n:
         below = below * d + (u * k + nv) ** n * c_k
         k += 1
@@ -111,10 +133,7 @@ def series_tail_bound(n: int, y: Fraction, p: Fraction, start: int) -> Fraction:
         k_n, next_n = next_n, (k + 1) ** n
     excess = d * k_n - c * next_n  # E > 0
     num = below * d * excess + (u * k + nv) ** n * c_k * d * k_n
-    den = v**n * d**k * excess
-    if start == 0 and n == 0:
-        num += den
-    return Fraction(num, den)
+    return Fraction(num, v**n * d**k * excess)
 
 
 def _predicted_terms(n: int, y: Fraction, p: Fraction) -> int:

@@ -230,6 +230,54 @@ def test_rational_function_cancels_common_factors(f, g, factors):
         assert _euclid_gcd(r.num, r.den) == Polynomial([1])
 
 
+# repeated factors, y^k among them, so that gcd(D, D') is not trivial
+_planted = st.lists(
+    st.one_of(_factor, st.integers(1, 4).map(lambda k: _power(Polynomial([0, 1]), k))),
+    max_size=3,
+)
+
+
+def _times(p, factors):
+    for k in factors:
+        p = p * k
+    return p
+
+
+_ratfun = st.builds(
+    lambda f, fs, g, gs: RationalFunction(_times(f, fs), _times(g, gs)),
+    _poly, _planted, _nonzero_poly, _planted,
+)
+
+
+def _fields(r):
+    return r.num.coeffs, r.den.coeffs
+
+
+@given(
+    _ratfun,
+    _ratfun,
+    st.one_of(
+        st.just(0),
+        st.integers(-9, 9),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_henrici_arithmetic_matches_the_full_constructor(r, s, c):
+    # products, scalings, negation and the derivative skip the full gcd;
+    # each must still give the constructor's normal form of the unreduced
+    # num and den
+    full = RationalFunction
+    assert _fields(r * s) == _fields(full(r.num * s.num, r.den * s.den))
+    assert _fields(r * s.num) == _fields(full(r.num * s.num, r.den))
+    assert _fields(r * c) == _fields(full(r.num * c, r.den))
+    assert _fields(c * r) == _fields(full(r.num * c, r.den))
+    assert _fields(-r) == _fields(full(-r.num, r.den))
+    assert _fields(r.derivative()) == _fields(
+        full(r.num.derivative() * r.den - r.num * r.den.derivative(), r.den * r.den)
+    )
+
+
 def test_equality_with_foreign_types_is_false():
     r = RationalFunction(3)
     assert not r == "x"

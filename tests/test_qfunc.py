@@ -205,6 +205,24 @@ def test_tail_bound_domain():
     with pytest.raises(ValueError, match="0 <= y < 1"):
         series_tail_bound(2, Fraction(-1, 2), Fraction(1, 2), 1)
     assert series_tail_bound(2, Fraction(0), Fraction(1, 2), 1) == 0
+    # with p <= 0 the factors of (-pk)_n are no longer at most pk+n: at
+    # p = -1/2 the loop built (n - |p|k)^n and returned 53/32
+    for p in (Fraction(-1, 2), 0, -0.5):
+        with pytest.raises(ValueError, match="p > 0"):
+            series_tail_bound(2, Fraction(1, 2), p, 0)
+    with pytest.raises(ValueError, match="start >= 0"):
+        series_tail_bound(2, Fraction(1, 2), Fraction(1, 2), -1)
+    # such n used to reach Fraction, which raised TypeError
+    for n in (-1, 1.5, True, "2"):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            series_tail_bound(n, Fraction(1, 2), Fraction(1, 2), 0)
+    # the domain is checked before the y = 0 shortcut
+    with pytest.raises(ValueError, match="p > 0"):
+        series_tail_bound(2, 0, Fraction(-1, 2), 0)
+    # a float y or p is the Fraction it equals (a float y used to raise
+    # AttributeError)
+    assert series_tail_bound(3, 0.5, 0.25, 4) == series_tail_bound(
+        3, Fraction(1, 2), Fraction(1, 4), 4)
 
 
 def _fraction_tail_bound(n, y, p, start):
@@ -223,15 +241,25 @@ def _fraction_tail_bound(n, y, p, start):
 
 def test_tail_bound_equals_the_fraction_loop():
     # thresholds run from k = 1 to about 130 (n = 14 at y = 0.9); the starts
-    # fall on both sides of each
+    # fall on both sides of each, and each side is a branch of the bound:
+    # the loop before the threshold, the closed form y^K times a fraction
+    # past it (n = 0 always, with its k = 0 term at start = 0)
     rng = random.Random(18)
     ys = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(5, 7),
           Fraction(9, 10), Fraction(0.3), Fraction(0.9), Fraction(0.0625)]
+    before = past = 0
     for n in range(15):
         for y in ys:
             p = Fraction(rng.randint(1, 11), 12)
             for start in (0, 1, rng.randint(2, 40), rng.randint(41, 200)):
                 assert series_tail_bound(n, y, p, start) == _fraction_tail_bound(n, y, p, start)
+                k0 = max(start, 1)
+                if y and y * Fraction(k0 + 1, k0) ** n >= 1:
+                    before += 1
+                elif y:
+                    past += 1
+    assert before > 0 and past > 0
+    assert series_tail_bound(0, Fraction(1, 3), Fraction(1, 2), 0) == Fraction(3, 2)
 
 
 def _plain_fraction_series(n, y, p, tol, descending):
@@ -325,7 +353,8 @@ def test_recurrence_identity(n, y, p):
 
 
 def test_rational_routes_agree_symbolically():
-    for n in range(6):
+    # n <= 16 is the range the benchmark's q_exact workload draws
+    for n in range(17):
         for p in (Fraction(1, 2), Fraction(2, 7)):
             assert q_rational(n, p) == q_rational_recurrence(n, p)
 
