@@ -91,26 +91,33 @@ def series_tail_bound(n: int, y, p, start: int) -> Fraction:
 
     Computed on integers: with y = c/d, p = u/v and k0 = max(start, 1),
     the threshold K is the first k >= k0 with c (k+1)^n < d k^n, and the
-    bound is [sum_{k0<=k<K} (uk+nv)^n c^k d^(K-k) E + (uK+nv)^n c^K d K^n]
-    over v^n d^K E, with E = d K^n - c (K+1)^n > 0, plus 1 for the k = 0
-    term when n = 0 and start = 0. Only the result becomes a Fraction.
-    When k0 is already past the threshold (K = k0, the common case inside
-    a series), that is y^K times (uK+nv)^n d K^n / (v^n E): the power of
-    the reduced y needs no gcd, and each gcd of the product pairs the
-    huge y^K with a small integer, so no gcd of two huge integers runs.
+    bound is y^k0 times [sum_{k0<=k<K} (uk+nv)^n c^(k-k0) d^(K-k) E
+    + (uK+nv)^n c^(K-k0) d K^n] over v^n d^(K-k0) E, with
+    E = d K^n - c (K+1)^n > 0, plus 1 for the k = 0 term when n = 0 and
+    start = 0. The power of the reduced y needs no gcd, and each gcd of
+    the product pairs y^k0 with an integer of size d^(K-k0), small when k0
+    is at or near the threshold (the common case inside a series), so no
+    gcd of two huge integers runs.
 
     Raises ValueError for n that is not a nonnegative integer, for
-    p <= 0, for start < 0 and for y outside [0, 1). A float y or p is
-    taken as the Fraction it equals (Fraction refuses NaN and infinities).
+    p <= 0, for start < 0 and for y outside [0, 1), non-finite floats
+    included. A finite float y or p is taken as the Fraction it equals.
     The checks read integers only, as the series calls this once per term.
     """
     _check_n(n)
     if start < 0:
         raise ValueError(f"series_tail_bound needs start >= 0, got {start!r}")
-    if not isinstance(y, (int, Fraction)):
-        y = Fraction(y)
+    # Fraction raises OverflowError for an infinity, ValueError for NaN
     if not isinstance(p, (int, Fraction)):
-        p = Fraction(p)
+        try:
+            p = Fraction(p)
+        except (OverflowError, ValueError):
+            raise ValueError(f"series_tail_bound needs a finite p > 0, got {p!r}") from None
+    if not isinstance(y, (int, Fraction)):
+        try:
+            y = Fraction(y)
+        except (OverflowError, ValueError):
+            raise ValueError(f"series_tail_bound needs 0 <= y < 1, got {y!r}") from None
     u, v, c, d = p.numerator, p.denominator, y.numerator, y.denominator
     if u <= 0:
         raise ValueError(f"series_tail_bound needs p > 0, got {p}")
@@ -119,13 +126,9 @@ def series_tail_bound(n: int, y, p, start: int) -> Fraction:
     if c == 0:
         return Fraction(0)
     nv = n * v
-    k = max(start, 1)
+    k0 = k = max(start, 1)
     k_n, next_n = k**n, (k + 1) ** n
-    if c * next_n < d * k_n:  # K = k0
-        bound = y**k * Fraction((u * k + nv) ** n * d * k_n, v**n * (d * k_n - c * next_n))
-        return bound + 1 if start == 0 and n == 0 else bound
-    # n >= 1 from here: at n = 0 every k0 is past the threshold
-    below, c_k = 0, c**k  # sum_{k0<=k<K} (uk+nv)^n c^k d^(K-1-k), c^k
+    below, c_k = 0, 1  # sum_{k0<=k<K} (uk+nv)^n c^(k-k0) d^(K-1-k), c^(k-k0)
     while c * next_n >= d * k_n:
         below = below * d + (u * k + nv) ** n * c_k
         k += 1
@@ -133,7 +136,8 @@ def series_tail_bound(n: int, y, p, start: int) -> Fraction:
         k_n, next_n = next_n, (k + 1) ** n
     excess = d * k_n - c * next_n  # E > 0
     num = below * d * excess + (u * k + nv) ** n * c_k * d * k_n
-    return Fraction(num, v**n * d**k * excess)
+    bound = y**k0 * Fraction(num, v**n * d ** (k - k0) * excess)
+    return bound + 1 if start == 0 and n == 0 else bound
 
 
 def _predicted_terms(n: int, y: Fraction, p: Fraction) -> int:

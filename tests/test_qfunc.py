@@ -5,6 +5,7 @@ The partial-fraction table (n = 0..4) and the z = y+1 bracket rows
 carries the degree repair -14z -> -14z^2 (see the errata command).
 """
 
+import math
 import random
 from fractions import Fraction
 from math import factorial
@@ -223,6 +224,14 @@ def test_tail_bound_domain():
     # AttributeError)
     assert series_tail_bound(3, 0.5, 0.25, 4) == series_tail_bound(
         3, Fraction(1, 2), Fraction(1, 4), 4)
+    # a non-finite float is outside the domain too (Fraction raises
+    # OverflowError for an infinity and ValueError for NaN)
+    for y in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="0 <= y < 1"):
+            series_tail_bound(2, y, Fraction(1, 2), 0)
+    for p in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="p > 0"):
+            series_tail_bound(2, Fraction(1, 2), p, 0)
 
 
 def _fraction_tail_bound(n, y, p, start):
@@ -241,9 +250,9 @@ def _fraction_tail_bound(n, y, p, start):
 
 def test_tail_bound_equals_the_fraction_loop():
     # thresholds run from k = 1 to about 130 (n = 14 at y = 0.9); the starts
-    # fall on both sides of each, and each side is a branch of the bound:
-    # the loop before the threshold, the closed form y^K times a fraction
-    # past it (n = 0 always, with its k = 0 term at start = 0)
+    # fall on both sides of each: before it the integer loop adds explicit
+    # terms, past it (n = 0 always, with its k = 0 term at start = 0) it
+    # runs zero times and only the closed-form tail is left
     rng = random.Random(18)
     ys = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(5, 7),
           Fraction(9, 10), Fraction(0.3), Fraction(0.9), Fraction(0.0625)]
