@@ -64,6 +64,8 @@ def _check_domain(a, b, n: int) -> None:
         raise ValueError(f"a must be >= 0, got {a}")
     if not b > 0:
         raise ValueError(f"b must be > 0, got {b}")
+    if a == math.inf or b == math.inf:
+        raise ValueError(f"a and b must be finite, got a = {a}, b = {b}")
 
 
 def _norm_factor(norm: Normalization):

@@ -159,6 +159,20 @@ def test_domain_validation():
         c2_jacobi(1, 4, 0)
 
 
+@pytest.mark.parametrize("rep", [
+    c2_double_factorial_sum, c2_quadrature, c2_hyp_closed, c2_hyp_unbounded, c2_jacobi,
+    lambda a, b, n: c2_legendre(a, b, n, LegendreVariant.SEC2),
+    lambda a, b, n: c2_legendre(a, b, n, LegendreVariant.EQ0B),
+    c2_gf_coefficient, printed_table_value,
+], ids=["double_factorial", "quadrature", "hyp_closed", "hyp_unbounded", "jacobi",
+        "legendre_sec2", "legendre_eq0b", "gf_coefficient", "printed_table"])
+@pytest.mark.parametrize("a, b", [(1, math.inf), (math.inf, 4), (math.inf, math.inf)])
+def test_every_route_refuses_an_infinite_input(rep, a, b):
+    # an infinity is no rational, and the quadrature once returned 0 with err 0
+    with pytest.raises(ValueError, match="must be finite"):
+        rep(a, b, 2)
+
+
 @given(
     st.fractions(min_value=Fraction(1, 10), max_value=5),
     st.sampled_from([Fraction(1, 4), Fraction(1), Fraction(4), Fraction(9, 4)]),

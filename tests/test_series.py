@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalankit.exact import catalan
-from catalankit.series import PowerSeries, gf_catalan2, series_mul
+from catalankit.exact import catalan, exact_pow
+from catalankit.series import PowerSeries, gf_catalan2, series_mul, series_recip, series_sqrt
 
 
 def test_gf_self_consistency():
@@ -60,6 +60,9 @@ def test_gf_catalan2_domain():
         gf_catalan2(1, 0, 4)
     with pytest.raises(ValueError):
         gf_catalan2(-1, 4, 4)
+    for a, b in [(1, math.inf), (math.inf, 4), (math.nan, 4), (1, math.nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            gf_catalan2(a, b, 3)
 
 
 def test_power_series_accessors():
@@ -72,14 +75,52 @@ def test_power_series_accessors():
         s.coefficient(5)
 
 
-def plain_product(s, t, order):
+# Frozen copy of the generic Newton loops that once ran both modes, one
+# coefficient type for the other. On Fractions they are the oracle of the
+# integer kernel; on floats, the operation-for-operation reference.
+def newton_mul(a, b, order):
     """Schoolbook truncated convolution, the reference for series_mul."""
-    out = [s[0] * 0] * order
-    for i in range(order):
-        if s[i]:
-            for j in range(order - i):
-                out[i + j] += s[i] * t[j]
-    return out
+    out = [a[0] * 0] * order
+    for i, x in enumerate(a[:order]):
+        if x:
+            for j, y in enumerate(b[: order - i]):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def newton_recip(c, order):
+    one = c[0] / c[0]
+    v = (one / c[0],)
+    prec = 1
+    while prec < order:
+        prec = min(2 * prec, order)
+        cv = newton_mul(c[:prec] + (c[0] * 0,) * max(0, prec - len(c)), v, prec)
+        two_minus = tuple((2 * one if i == 0 else one * 0) - x for i, x in enumerate(cv))
+        v = newton_mul(v, two_minus, prec)
+    return v
+
+
+def newton_sqrt(c, order):
+    exact = isinstance(c[0], Fraction)
+    one = c[0] / c[0]
+    half = one / 2
+    r = (exact_pow(c[0], Fraction(1, 2)) if exact else math.sqrt(c[0]),)
+    prec = 1
+    while prec < order:
+        prec = min(2 * prec, order)
+        padded = c[:prec] + (c[0] * 0,) * max(0, prec - len(c))
+        quotient = newton_mul(padded, newton_recip(r + (c[0] * 0,) * (prec - len(r)), prec), prec)
+        r = tuple(half * (x + y) for x, y in zip(r + (c[0] * 0,) * (prec - len(r)), quotient))
+    return r
+
+
+def newton_gf(a, b, order):
+    """1 / (a + sqrt(b - x)) by the frozen loops: Fraction when sqrt(b)
+    is rational, else float."""
+    num = Fraction if exact_pow(b, Fraction(1, 2)) is not None else float
+    base = (num(b), num(-1)) + (num(0),) * max(0, order - 2)
+    root = newton_sqrt(base, len(base))
+    return newton_recip((root[0] + num(a),) + root[1:order], order)
 
 
 # Exact series: a Fraction constant term (which makes the series exact),
@@ -99,13 +140,15 @@ exact_series = st.builds(
 @settings(max_examples=150, deadline=None)
 def test_exact_mul_matches_fraction_convolution(s, t):
     order = min(s.order, t.order)
-    want = plain_product(
-        [Fraction(x) for x in s.coeffs], [Fraction(x) for x in t.coeffs], order
-    )
+    want = newton_mul([Fraction(x) for x in s.coeffs], [Fraction(x) for x in t.coeffs], order)
     got = series_mul(s, t)
     assert got.order == order
-    assert list(got.coeffs) == want
+    assert got.coeffs == want
     assert all(type(x) is Fraction for x in got.coeffs)
+
+
+def _hex(s):
+    return [x.hex() for x in s]
 
 
 @pytest.mark.parametrize("len_s, len_t", [(1, 1), (9, 5), (6, 12), (41, 41)])
@@ -115,5 +158,65 @@ def test_float_mul_bit_identical_to_plain_loop(len_s, len_t):
     t = tuple(rng.choice((0.0, rng.uniform(-1e3, 1e3))) for _ in range(len_t))
     order = min(len_s, len_t)
     got = series_mul(PowerSeries(s), PowerSeries(t))
-    want = plain_product(s, t, order)
-    assert [x.hex() for x in got.coeffs] == [x.hex() for x in want]
+    assert _hex(got.coeffs) == _hex(newton_mul(s, t, order))
+    # the Newton loops on the same kind of series, against the frozen copy
+    c = (rng.uniform(0.5, 3.0),) + s[1:]
+    assert _hex(series_recip(PowerSeries(c)).coeffs) == _hex(newton_recip(c, len(c)))
+    assert _hex(series_sqrt(PowerSeries(c)).coeffs) == _hex(newton_sqrt(c, len(c)))
+
+
+def _exact_gf_cases():
+    rng = random.Random(21)
+    cases = [(0, 4, 64), (0, Fraction(9, 4), 17), (1, 4, 64), (3, 1, 33), (2.5, 4, 40),
+             (0.1, Fraction(1, 4), 64), (Fraction(1, 2), Fraction(1, 4), 1)]
+    for _ in range(40):
+        r = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        a = rng.choice((0, rng.randint(0, 6), Fraction(rng.randint(0, 40), rng.randint(1, 9)),
+                        rng.uniform(0.0, 4.0)))
+        cases.append((a, r * r, rng.randint(1, 64)))
+    return cases
+
+
+@pytest.mark.parametrize("a, b, order", _exact_gf_cases())
+def test_exact_gf_matches_the_fraction_newton(a, b, order):
+    got = gf_catalan2(a, b, order)
+    assert got.exact
+    assert all(type(x) is Fraction for x in got.coeffs)
+    assert got.coeffs == newton_gf(a, b, order)
+
+
+def _float_gf_cases():
+    # c2_mixed's non-square b, a in quarter steps up to sqrt(b) + 3
+    rng = random.Random(40)
+    for b in ("1/2", "3/2", "5/3", "2", "3", "5", "6", "7", "10"):
+        b = Fraction(b)
+        for k in range(4 * math.ceil(math.sqrt(b) + 3) + 1):
+            for n in {0, 40, rng.randint(1, 39), rng.randint(1, 39)}:
+                yield Fraction(k, 4), b, n + 1
+
+
+def test_float_gf_bit_identical_to_the_frozen_loops():
+    cases = list(_float_gf_cases())
+    assert len(cases) > 600
+    for a, b, order in cases:
+        got = gf_catalan2(a, b, order)
+        assert not got.exact
+        assert _hex(got.coeffs) == _hex(newton_gf(a, b, order)), (a, b, order)
+
+
+@given(exact_series, st.fractions(min_value=Fraction(1, 30), max_value=30, max_denominator=60))
+@settings(max_examples=100, deadline=None)
+def test_exact_sqrt_and_recip_match_the_fraction_newton(s, root):
+    c = s.coeffs
+    if c[0]:
+        got = series_recip(s)
+        assert got.coeffs == newton_recip(c, s.order)
+        assert all(type(x) is Fraction for x in got.coeffs)
+    else:
+        with pytest.raises(ValueError):
+            series_recip(s)
+    # a constant term with a rational root
+    c = (root * root,) + c[1:]
+    got = series_sqrt(PowerSeries(c))
+    assert got.coeffs == newton_sqrt(c, len(c))
+    assert got.coeffs[0] == root
