@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from math import comb, factorial
 
-from .exact import _check_n, _exact_or_float, _float_pow, _float_range_error, _is_exact
+from .exact import _check_c2_domain, _exact_or_float, _float_pow, _float_range_error, _is_exact
 from .exact import _power_arithmetic, _to_float, catalan, double_factorial
 from .hyper import assoc_legendre_p, gauss_2f1, jacobi_p
 from .quad import HalflineIntegrand, QuadResult, integrate_halfline
@@ -58,16 +58,6 @@ class LegendreVariant(enum.Enum):
     SEC2 = "sec2"
 
 
-def _check_domain(a, b, n: int) -> None:
-    _check_n(n)
-    if not a >= 0:
-        raise ValueError(f"a must be >= 0, got {a}")
-    if not b > 0:
-        raise ValueError(f"b must be > 0, got {b}")
-    if a == math.inf or b == math.inf:
-        raise ValueError(f"a and b must be finite, got a = {a}, b = {b}")
-
-
 def _norm_factor(norm: Normalization):
     """1 or pi; pi is a float, so a printed-scale value is rounded."""
     return math.pi if norm is Normalization.PRINTED_PI else 1
@@ -81,7 +71,7 @@ def c2_double_factorial_sum(a, b, n: int):
     binomial binom(-1, 0) = 1; both are forced by the n=0 value
     1/(a+sqrt(b)). Generating-function normalization by construction.
     """
-    _check_domain(a, b, n)
+    _check_c2_domain(a, b, n)
     root, cast = _power_arithmetic(b, Fraction(1, 2))
     exact = _is_exact(root)
     af = cast(a)
@@ -118,7 +108,7 @@ def c2_quadrature(a, b, n: int, tol: float = 1e-10) -> QuadResult:
     Requires a > 0: at a = 0 the integrand endpoint exponent drops to
     -1/2 and the other representations cover that case.
     """
-    _check_domain(a, b, n)
+    _check_c2_domain(a, b, n)
     if not a > 0:
         raise ValueError("c2_quadrature needs a > 0")
     a2, bf, power = _float_pow(_to_float(a), 2, "a^2"), _to_float(b), n + 1
@@ -141,7 +131,7 @@ def c2_hyp_closed(a, b, n: int, norm: Normalization = Normalization.GENERATING_F
     K = 1 (gf) or pi (printed). At n = 0 the second upper parameter is 0
     and the 2F1 is 1, extending the published n >= 1 range.
     """
-    _check_domain(a, b, n)
+    _check_c2_domain(a, b, n)
     root, cast = _power_arithmetic(b, Fraction(1, 2))
     aa = cast(a)
     z = (root - aa) / (2 * root)
@@ -160,7 +150,7 @@ def c2_hyp_unbounded(
     Exists as a cross-check against the terminating closed form on the
     shared domain; the series does not terminate, so the result is float.
     """
-    _check_domain(a, b, n)
+    _check_c2_domain(a, b, n)
     if not a > 0:
         raise ValueError("c2_hyp_unbounded needs a > 0")
     a2, bf = _float_pow(_to_float(a), 2, "a^2"), _to_float(b)
@@ -177,7 +167,7 @@ def c2_jacobi(a, b, n: int, norm: Normalization = Normalization.GENERATING_FUNCT
     K / (n (2 sqrt(b))^n) * (a+sqrt(b))^(-n-1) * P_{n-1}^{(n+1, -n-1)}(a/sqrt(b)).
     Equivalent to the terminating closed form via binom(2n, n-1) = n C_n.
     """
-    _check_domain(a, b, n)
+    _check_c2_domain(a, b, n)
     if n < 1:
         raise ValueError("c2_jacobi needs n >= 1")
     root, cast = _power_arithmetic(b, Fraction(1, 2))
@@ -204,7 +194,7 @@ def c2_legendre(
     it. The two variants disagree; the errata report measures both
     against the quadrature oracle rather than presuming either.
     """
-    _check_domain(a, b, n)
+    _check_c2_domain(a, b, n)
     if n < 1:
         raise ValueError("c2_legendre needs n >= 1")
     af, bf = _to_float(a), _to_float(b)
@@ -235,7 +225,7 @@ def c2_gf_coefficient(a, b, n: int):
     Independent of every closed form above: computed by Newton iteration
     on the series square root and reciprocal.
     """
-    _check_domain(a, b, n)
+    _check_c2_domain(a, b, n)
     value = gf_catalan2(a, b, n + 1).coefficient(n)
     return _exact_or_float(value, a, b)
 
@@ -262,7 +252,7 @@ def printed_table_value(a, b, n: int) -> float:
     """
     if not 0 <= n < len(_PRINTED_TABLE):
         raise ValueError(f"printed table covers n = 0..5, got {n}")
-    _check_domain(a, b, n)
+    _check_c2_domain(a, b, n)
     terms, const, bpow = _PRINTED_TABLE[n]
     af, sb = _to_float(a), math.sqrt(_to_float(b))
     num = math.fsum(

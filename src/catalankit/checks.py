@@ -14,11 +14,11 @@ from fractions import Fraction
 
 from . import catalan2, exact, functional, hyper, qfunc, quad
 from .catalan2 import LegendreVariant
-from .cli import ROW_ERRORS, _SUITE_NAMES, _error
+from .cli import _DEFAULT_TOL, ROW_ERRORS, _SUITE_NAMES, _error, _quad_tol
 from .reporting import CompareReport, RepRow, format_float, format_scalar, render_report
 
 _SELFTEST_SEED = 20260816
-_SELFTEST_QUAD_TOL = 1e-10  # `cli._quad_tol` at the default --tol, 1e-8
+_SELFTEST_QUAD_TOL = _quad_tol(_DEFAULT_TOL)
 
 
 # ----------------------------------------------------------------- errata

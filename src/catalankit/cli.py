@@ -109,6 +109,10 @@ def _error(message, code: int) -> int:
     return code
 
 
+# The comparison tolerance when --tol is not given.
+_DEFAULT_TOL = 1e-8
+
+
 def _quad_tol(compare_tol: float) -> float:
     """Integration tolerance two decades below the comparison tolerance."""
     return min(1e-10, max(1e-14, compare_tol / 100.0))
@@ -214,7 +218,7 @@ ROW_ERRORS = (ValueError, ZeroDivisionError, RuntimeError)
 _QUANTITIES = {
     "c2": ("two-parameter family C2(n; a, b)",
            (("a", _parse_number, None), ("b", _parse_number, None), ("n", _parse_nonneg_int, None)),
-           C2_REPS, lambda x: catalan2._check_domain(x.a, x.b, x.n)),
+           C2_REPS, lambda x: exact._check_c2_domain(x.a, x.b, x.n)),
     "functional": ("fractional-order family cf(n; a, b, p)",
                    (("a", _parse_number, None), ("b", _parse_number, None),
                     ("p", _parse_number, None), ("n", _parse_nonneg_int, None)),
@@ -311,10 +315,10 @@ def _add_format(sub) -> None:
     )
 
 
-def _add_tol(sub, default: float = 1e-8) -> None:
+def _add_tol(sub) -> None:
     sub.add_argument(
-        "--tol", type=_parse_tol, default=default,
-        help=f"comparison tolerance (default: {default:g})",
+        "--tol", type=_parse_tol, default=_DEFAULT_TOL,
+        help=f"comparison tolerance (default: {_DEFAULT_TOL:g})",
     )
 
 

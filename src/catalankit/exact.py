@@ -103,6 +103,18 @@ def _check_p(p) -> None:
         raise ValueError(f"p must lie in (0, 1), got {p}")
 
 
+def _check_c2_domain(a, b, n) -> None:
+    """The inputs of C2(n; a, b), which the functional shares: n, a >= 0
+    and b > 0, both finite."""
+    _check_n(n)
+    if not a >= 0:
+        raise ValueError(f"a must be >= 0, got {a}")
+    if not b > 0:
+        raise ValueError(f"b must be > 0, got {b}")
+    if a == math.inf or b == math.inf:
+        raise ValueError(f"a and b must be finite, got a = {a}, b = {b}")
+
+
 def catalan_formulas(n: int) -> dict[str, Fraction]:
     """C_n by each closed formula separately, keyed by formula name.
 

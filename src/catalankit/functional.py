@@ -27,9 +27,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple
 
-from .catalan2 import _check_domain as _check_c2_domain, c2_hyp_closed
-from .exact import _check_p, _exact_or_float, _float_pow, _float_range_error, _is_exact
-from .exact import _power_arithmetic, _to_float
+from .exact import _check_c2_domain, _check_p, _exact_or_float, _float_pow, _float_range_error
+from .exact import _is_exact, _power_arithmetic, _to_float
 from .qfunc import _pochhammer_series, q_series_with_terms, q_stirling
 from .quad import HalflineIntegrand, QuadResult, integrate_halfline
 
@@ -209,6 +208,8 @@ def cf_half_reduction_check(a, b, n: int) -> bool:
     """Does cf at p = 1/2 reproduce C2(n; a, b)? Compares cf_double_sum
     with the terminating closed form of C2: equal when both sides are
     Fractions, else within _HALF_TOL relative."""
+    from .catalan2 import c2_hyp_closed  # the one route here that needs the c2 stack
+
     lhs = cf_double_sum(a, b, Fraction(1, 2), n)
     rhs = c2_hyp_closed(a, b, n)
     if _is_exact(lhs, rhs):

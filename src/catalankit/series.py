@@ -1,23 +1,23 @@
 """Truncated power series and the generating function of C2(n; a, b).
 
-A PowerSeries is a fixed-length tuple of coefficients, index = power.
-Coefficients are either all Fraction (exact mode) or all float. Both
-modes compute reciprocal and square root by the same Newton steps, with
-the same truncation orders; each step doubles the number of correct
-coefficients.
+gf_catalan2 expands 1/(a + sqrt(b - x)) by Newton iteration: the square
+root of b - x, then the reciprocal of a plus that root. Each Newton step
+doubles the number of correct coefficients. A PowerSeries holds the
+result, its coefficients either all Fraction (exact mode, when sqrt(b) is
+rational) or all float.
 
-Exact mode runs on integers. A series enters the kernel once, as integer
-numerators over one common denominator (the lcm of its denominators),
-and stays that way from the first Newton step to the last, through
-gf_catalan2's square root and reciprocal alike. A product convolves the
-numerators, multiplies the denominators, and divides all of them by
-their one gcd; without that division the integers grow past the reduced
-coefficients' size at every step. Fractions are built only for the
-coefficients returned.
+Exact mode runs on integers. A series is integer numerators over one
+positive denominator from the first Newton step to the last, through the
+square root and the reciprocal alike. A product convolves the numerators,
+multiplies the denominators, and divides all of them by their one gcd;
+without that division the integers grow past the reduced coefficients'
+size at every step. Fractions are built only for the coefficients
+returned.
 
-Float mode keeps its plain loops, operation for operation: float
-coefficients are printed to 17 digits, so a reordered sum or a fused
-Newton step would move their last bits."""
+Float mode runs the same Newton steps on float lists, for a positive
+constant term. Its coefficients are printed to 17 digits, so the order of
+every operation is fixed: a reordered sum or a fused Newton step would
+move their last bits."""
 
 from __future__ import annotations
 
@@ -25,15 +25,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import _power_arithmetic, exact_pow
+from .exact import _power_arithmetic
 
-__all__ = [
-    "PowerSeries",
-    "series_mul",
-    "series_recip",
-    "series_sqrt",
-    "gf_catalan2",
-]
+__all__ = ["PowerSeries", "gf_catalan2"]
 
 
 class PowerSeries(namedtuple("PowerSeries", "coeffs")):
@@ -71,12 +65,6 @@ def _convolve(a, b, order: int, zero) -> list:
 
 # Exact kernel: a series is (nums, den), integer numerators over one
 # positive denominator.
-
-
-def _over_common_denominator(c: tuple) -> tuple[list, int]:
-    """Integer numerators of rational coefficients over the lcm of their denominators."""
-    den = math.lcm(*(x.denominator for x in c))
-    return [x.numerator * (den // x.denominator) for x in c], den
 
 
 def _reduced(nums: list, den: int) -> tuple[list, int]:
@@ -122,71 +110,30 @@ def _exact_sqrt(c: tuple[list, int], root: Fraction, order: int) -> tuple[list, 
     return r
 
 
-# Float mode: the plain loops, kept operation for operation (see the module docstring).
+# Float kernel: a series is a list of floats whose constant term is
+# positive, so every product's zero is 0.0 (see the module docstring).
 
 
-def _mul(a: tuple, b: tuple, order: int) -> tuple:
-    return tuple(_convolve(a, b, order, a[0] * 0))
-
-
-def _recip_coeffs(c: tuple, order: int) -> tuple:
-    if c[0] == 0:
-        raise ValueError("series reciprocal: constant term is zero")
-    one = c[0] / c[0]
-    v = (one / c[0],)
+def _float_recip(c: list, order: int) -> list:
+    v = [1.0 / c[0]]
     prec = 1
     while prec < order:
         prec = min(2 * prec, order)
-        # v <- v (2 - c v), truncated; doubles correct coefficients
-        cv = _mul(c[:prec] + (c[0] * 0,) * max(0, prec - len(c)), v, prec)
-        two_minus = tuple((2 * one if i == 0 else one * 0) - x for i, x in enumerate(cv))
-        v = _mul(v, two_minus, prec)
+        # v <- v (2 - c v); 0.0 - x, not -x, which would turn a 0.0 into -0.0
+        cv = _convolve(c[:prec], v, prec, 0.0)
+        v = _convolve(v, [2.0 - cv[0]] + [0.0 - x for x in cv[1:]], prec, 0.0)
     return v
 
 
-def series_mul(s: PowerSeries, t: PowerSeries) -> PowerSeries:
-    """Product truncated to the shorter operand's order."""
-    order = min(s.order, t.order)
-    if s.exact and t.exact:
-        return _as_series(_exact_mul(_over_common_denominator(s.coeffs[:order]),
-                                     _over_common_denominator(t.coeffs[:order]), order))
-    return PowerSeries(_mul(s.coeffs, t.coeffs, order))
-
-
-def series_recip(s: PowerSeries) -> PowerSeries:
-    """Multiplicative inverse truncated to s.order; needs c_0 != 0."""
-    if s.exact:
-        return _as_series(_exact_recip(_over_common_denominator(s.coeffs), s.order))
-    return PowerSeries(_recip_coeffs(s.coeffs, s.order))
-
-
-def series_sqrt(s: PowerSeries) -> PowerSeries:
-    """Square root with r_0 > 0, truncated to s.order.
-
-    Newton iteration r <- (r + s/r) / 2. In exact mode the constant term
-    must have a rational square root; in float mode it must be positive.
-    """
-    c = s.coeffs
-    if s.exact:
-        root = exact_pow(c[0], Fraction(1, 2))
-        if root is None:
-            raise ValueError(
-                "series sqrt: constant term must be positive with a rational root"
-            )
-        return _as_series(_exact_sqrt(_over_common_denominator(c), root, s.order))
-    if c[0] <= 0:
-        raise ValueError("series sqrt: constant term must be positive")
-    one = c[0] / c[0]
-    half = one / 2
-    r = (math.sqrt(c[0]),)
+def _float_sqrt(c: list, root: float, order: int) -> list:
+    r = [root]
     prec = 1
-    while prec < s.order:
-        prec = min(2 * prec, s.order)
-        padded = c[:prec] + (c[0] * 0,) * max(0, prec - len(c))
-        r = r + (c[0] * 0,) * (prec - len(r))
-        quotient = _mul(padded, _recip_coeffs(r, prec), prec)
-        r = tuple(half * (x + y) for x, y in zip(r, quotient))
-    return PowerSeries(r)
+    while prec < order:
+        prec = min(2 * prec, order)
+        # r <- (r + c/r) / 2
+        q = _convolve(c[:prec], _float_recip(r, prec), prec, 0.0)
+        r = [0.5 * (x + y) for x, y in zip(r + [0.0] * (prec - len(r)), q)]
+    return r
 
 
 def gf_catalan2(a, b, order: int) -> PowerSeries:
@@ -209,9 +156,7 @@ def gf_catalan2(a, b, order: int) -> PowerSeries:
         d_num = [x * a.denominator for x in r_num]
         d_num[0] += a.numerator * r_den
         return _as_series(_exact_recip((d_num, r_den * a.denominator), order))
-    # The base keeps its x term at order 1, so a float coefficient 0 is rounded
-    # as at every order (by a Newton step); the root is cut to order instead.
-    base = PowerSeries((num(b), num(-1)) + (num(0),) * max(0, order - 2))
-    root = series_sqrt(base)
-    denom = PowerSeries((root.coeffs[0] + num(a),) + root.coeffs[1:order])
-    return series_recip(denom)
+    # The root runs to order 2 at least, so a float coefficient 0 is rounded
+    # by a Newton step at every order, order 1 included; it is cut to order.
+    r = _float_sqrt([num(b), -1.0], root, max(2, order))
+    return PowerSeries(tuple(_float_recip([r[0] + num(a)] + r[1:order], order)))

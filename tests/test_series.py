@@ -9,16 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalankit.exact import catalan, exact_pow
-from catalankit.series import PowerSeries, gf_catalan2, series_mul, series_recip, series_sqrt
+from catalankit.series import PowerSeries, gf_catalan2
+from catalankit.series import _as_series, _convolve, _exact_mul, _exact_recip, _exact_sqrt
+from catalankit.series import _float_recip, _float_sqrt
 
 
 def test_gf_self_consistency():
     # the Catalan series c(x) satisfies c = 1 + x c^2
     order = 10
     c = gf_catalan2(Fraction(1, 2), Fraction(1, 4), order)
-    c2 = series_mul(c, c)
+    c2 = newton_mul(c.coeffs, c.coeffs, order)
     for n in range(1, order):
-        assert c.coefficient(n) == c2.coefficient(n - 1)
+        assert c.coefficient(n) == c2[n - 1]
     assert c.coefficient(0) == 1
 
 
@@ -79,7 +81,7 @@ def test_power_series_accessors():
 # coefficient type for the other. On Fractions they are the oracle of the
 # integer kernel; on floats, the operation-for-operation reference.
 def newton_mul(a, b, order):
-    """Schoolbook truncated convolution, the reference for series_mul."""
+    """Schoolbook truncated convolution, the reference for every product."""
     out = [a[0] * 0] * order
     for i, x in enumerate(a[:order]):
         if x:
@@ -136,12 +138,20 @@ exact_series = st.builds(
 )
 
 
+def integer_kernel(c):
+    """The exact kernel's form of rational coefficients c: integer
+    numerators over the lcm of their denominators."""
+    den = math.lcm(*(x.denominator for x in c))
+    return [x.numerator * (den // x.denominator) for x in c], den
+
+
 @given(exact_series, exact_series)
 @settings(max_examples=150, deadline=None)
 def test_exact_mul_matches_fraction_convolution(s, t):
     order = min(s.order, t.order)
     want = newton_mul([Fraction(x) for x in s.coeffs], [Fraction(x) for x in t.coeffs], order)
-    got = series_mul(s, t)
+    got = _as_series(_exact_mul(integer_kernel(s.coeffs[:order]),
+                                integer_kernel(t.coeffs[:order]), order))
     assert got.order == order
     assert got.coeffs == want
     assert all(type(x) is Fraction for x in got.coeffs)
@@ -153,16 +163,16 @@ def _hex(s):
 
 @pytest.mark.parametrize("len_s, len_t", [(1, 1), (9, 5), (6, 12), (41, 41)])
 def test_float_mul_bit_identical_to_plain_loop(len_s, len_t):
+    # the float kernels' operands all have a positive constant term
     rng = random.Random(len_s * 100 + len_t)
-    s = tuple(rng.uniform(-3.0, 3.0) for _ in range(len_s))
+    s = (rng.uniform(0.5, 3.0),) + tuple(rng.uniform(-3.0, 3.0) for _ in range(len_s - 1))
     t = tuple(rng.choice((0.0, rng.uniform(-1e3, 1e3))) for _ in range(len_t))
     order = min(len_s, len_t)
-    got = series_mul(PowerSeries(s), PowerSeries(t))
-    assert _hex(got.coeffs) == _hex(newton_mul(s, t, order))
+    assert _hex(_convolve(s, t, order, 0.0)) == _hex(newton_mul(s, t, order))
     # the Newton loops on the same kind of series, against the frozen copy
-    c = (rng.uniform(0.5, 3.0),) + s[1:]
-    assert _hex(series_recip(PowerSeries(c)).coeffs) == _hex(newton_recip(c, len(c)))
-    assert _hex(series_sqrt(PowerSeries(c)).coeffs) == _hex(newton_sqrt(c, len(c)))
+    c = list(s)
+    assert _hex(_float_recip(c, len(c))) == _hex(newton_recip(s, len(s)))
+    assert _hex(_float_sqrt(c, math.sqrt(c[0]), len(c))) == _hex(newton_sqrt(s, len(s)))
 
 
 def _exact_gf_cases():
@@ -209,14 +219,14 @@ def test_float_gf_bit_identical_to_the_frozen_loops():
 def test_exact_sqrt_and_recip_match_the_fraction_newton(s, root):
     c = s.coeffs
     if c[0]:
-        got = series_recip(s)
+        got = _as_series(_exact_recip(integer_kernel(c), s.order))
         assert got.coeffs == newton_recip(c, s.order)
         assert all(type(x) is Fraction for x in got.coeffs)
     else:
         with pytest.raises(ValueError):
-            series_recip(s)
+            _exact_recip(integer_kernel(c), s.order)
     # a constant term with a rational root
     c = (root * root,) + c[1:]
-    got = series_sqrt(PowerSeries(c))
+    got = _as_series(_exact_sqrt(integer_kernel(c), root, len(c)))
     assert got.coeffs == newton_sqrt(c, len(c))
     assert got.coeffs[0] == root
