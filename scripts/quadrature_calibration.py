@@ -15,13 +15,13 @@ Usage:
 import argparse
 import statistics
 
-from catalankit.quad import beta_cases, integrate_halfline
+from catalankit.quad import _BETA_COUNT, _BETA_SEED, beta_cases, integrate_halfline
 
 
 def run_tolerance(tol, cases, seed):
     errors, evals = [], []
     for _, integrand, truth in beta_cases(cases, seed):
-        result = integrate_halfline(integrand, tol=tol)
+        result = integrate_halfline(*integrand, tol)
         errors.append(abs(result.value - truth) / abs(truth))
         evals.append(result.evaluations)
     return errors, evals
@@ -30,8 +30,8 @@ def run_tolerance(tol, cases, seed):
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="achieved error vs requested tolerance for the half-line rule")
-    parser.add_argument("--cases", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=20260816)
+    parser.add_argument("--cases", type=int, default=_BETA_COUNT)
+    parser.add_argument("--seed", type=int, default=_BETA_SEED)
     parser.add_argument(
         "--tols", default="1e-4,1e-6,1e-8,1e-10,1e-12,1e-14",
         help="comma separated list of requested tolerances")

@@ -26,7 +26,7 @@ from math import comb, factorial
 from .exact import _check_c2_domain, _exact_or_float, _float_pow, _float_range_error, _is_exact
 from .exact import _power_arithmetic, _to_float, catalan, double_factorial
 from .hyper import assoc_legendre_p, gauss_2f1, jacobi_p
-from .quad import HalflineIntegrand, QuadResult, integrate_halfline
+from .quad import QuadResult, integrate_halfline
 from .series import gf_catalan2
 
 __all__ = [
@@ -116,10 +116,7 @@ def c2_quadrature(a, b, n: int, tol: float = 1e-10) -> QuadResult:
     def f(t: float) -> float:
         return math.sqrt(t) / ((a2 + t) * (bf + t) ** power)
 
-    raw = integrate_halfline(
-        HalflineIntegrand(f, endpoint_exponent=0.5, decay_exponent=n + 1.5),
-        tol=tol,
-    )
+    raw = integrate_halfline(f, 0.5, n + 1.5, tol)
     return QuadResult(raw.value / math.pi, raw.abs_err_est / math.pi, raw.evaluations)
 
 

@@ -1,8 +1,9 @@
 """Exact integer and rational combinatorics used across the package.
 
-Everything here is computed in arbitrary-precision integer or rational
-arithmetic (``int`` / ``fractions.Fraction``), so results are exact and
-suitable as oracles for the floating-point representations elsewhere.
+The combinatorics and polynomial arithmetic here run on ``int`` and
+``fractions.Fraction``, so their results are exact oracles for the float
+representations elsewhere. The exactness policy lives here too, with the
+float helpers it rounds by (``_to_float``, ``_float_pow``).
 
 Conventions the rest of the package relies on:
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .exact import _check_c2_domain, _check_p, _exact_or_float, _float_pow, _float_range_error
 from .exact import _is_exact, _power_arithmetic, _to_float
 from .qfunc import _pochhammer_series, q_series_with_terms, q_stirling
-from .quad import HalflineIntegrand, QuadResult, integrate_halfline
+from .quad import QuadResult, integrate_halfline
 
 __all__ = [
     "SeriesEvaluation",
@@ -81,10 +81,7 @@ def cf_quadrature(a, b, p, n: int, tol: float = 1e-10) -> QuadResult:
         tp = t**pf
         return tp / ((a2 + two_a_cos * tp + tp * tp) * (bf + t) ** power)
 
-    raw = integrate_halfline(
-        HalflineIntegrand(f, endpoint_exponent=pf, decay_exponent=n + 1 + pf),
-        tol=tol,
-    )
+    raw = integrate_halfline(f, pf, n + 1 + pf, tol)
     scale = math.sin(pf * math.pi) / math.pi
     return QuadResult(raw.value * scale, raw.abs_err_est * scale, raw.evaluations)
 

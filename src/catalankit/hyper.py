@@ -13,8 +13,10 @@ The parameters choose one of two regimes:
   for three consecutive terms, within _MAX_TERMS terms.
 
 Also provides the Jacobi polynomial and the Ferrers associated Legendre
-function on (0, 1), both routed through the Gauss series so that every
-special-function value in the package shares one audited code path.
+function on (0, 1), both routed through the Gauss series. The c2 routes
+hyp_closed, jacobi and legendre_sec2 therefore sum one series, so they do
+not check each other (ROADMAP item 12(b), the strict xfail in
+tests/test_independence.py).
 """
 
 from __future__ import annotations

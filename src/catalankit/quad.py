@@ -29,12 +29,12 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import sys
 from typing import Callable, NamedTuple
 
 from .hyper import gauss_2f1
 
 __all__ = [
-    "HalflineIntegrand",
     "QuadResult",
     "QuadratureError",
     "integrate_halfline",
@@ -51,20 +51,7 @@ _EULER_TOL = 1e-9
 
 
 class QuadratureError(RuntimeError):
-    """The tolerance was not reached: the budget ran out or the map left the float range."""
-
-
-class HalflineIntegrand(NamedTuple):
-    """An integrand on [0, inf) with declared endpoint behavior.
-
-    ``endpoint_exponent`` is sigma in f(t) ~ t^sigma as t -> 0 (must be
-    > -1); ``decay_exponent`` is tau in f(t) ~ t^(-tau) as t -> inf (must
-    be > 1). The exponents are trusted, not verified.
-    """
-
-    f: Callable[[float], float]
-    endpoint_exponent: float
-    decay_exponent: float
+    """The tolerance was not reached: the budget ran out, or the map or f left the float range."""
 
 
 class QuadResult(NamedTuple):
@@ -118,26 +105,31 @@ def _units(x: float) -> int:
     return num << (1075 - den.bit_length())
 
 
-def integrate_halfline(g: HalflineIntegrand, tol: float) -> QuadResult:
-    """Integrate g.f over [0, inf) to relative tolerance ``tol``.
+def integrate_halfline(
+    f: Callable[[float], float], endpoint_exponent: float, decay_exponent: float, tol: float
+) -> QuadResult:
+    """Integrate f over [0, inf) to relative tolerance ``tol``.
 
+    ``endpoint_exponent`` is sigma in f(t) ~ t^sigma as t -> 0 (must be
+    > -1); ``decay_exponent`` is tau in f(t) ~ t^(-tau) as t -> inf (must
+    be > 1). The exponents are trusted, not verified.
     The result satisfies |value - integral| <= max(tol * |value|, 1e-300)
     up to the reliability of the embedded error estimate, which the
     calibration selftest measures against Beta-integral ground truth
     drawn by `beta_cases`.
     Deterministic: identical inputs give bit-identical results. Raises
     QuadratureError when the _MAX_EVALS evaluation budget runs out first,
-    or when the map's t or a Kronrod sum leaves the float range.
+    when the map's t or a Kronrod sum leaves the float range, or when f
+    overflows at a subnormal t (sigma too close to -1 for the map).
     """
     if not 1e-14 <= tol <= 1e-3:
         raise ValueError("integrate_halfline: tol must lie in [1e-14, 1e-3]")
-    sigma = float(g.endpoint_exponent)
-    tau = float(g.decay_exponent)
+    sigma = float(endpoint_exponent)
+    tau = float(decay_exponent)
     if not (sigma > -1.0 and tau > 1.0):
         raise ValueError(
             "integrate_halfline: need endpoint_exponent > -1 and decay_exponent > 1"
         )
-    f = g.f
     gamma = min(24.0, max(1.0, 4.0 / min(sigma + 1.0, tau - 1.0)))
 
     def h(u: float) -> float:
@@ -151,7 +143,14 @@ def integrate_halfline(g: HalflineIntegrand, tol: float) -> QuadResult:
             # t underflows only next to u = 0, where f may be singular
             return 0.0
         jac = gamma * w ** (gamma - 1.0) / (1.0 - u) ** 2
-        v = f(t) * jac
+        try:
+            v = f(t) * jac
+        except OverflowError:  # next to u = 0 the map has no resolution left
+            if t >= sys.float_info.min:
+                raise
+            msg = (f"f overflows at the subnormal t = {t!r} next to u = 0: "
+                   f"endpoint exponent {sigma!r} is too close to -1 for the map")
+            raise QuadratureError(msg) from None
         return v if math.isfinite(v) else 0.0
 
     # A heap of (-err, lo, hi, val): its top is the interval with the largest
@@ -209,25 +208,27 @@ def beta_halfline(s: float, r: float, b: float) -> float:
     return b ** (s - r) * math.gamma(s) * math.gamma(r - s) / math.gamma(r)
 
 
+# The draw of the quadrature_beta suite and the calibration script's defaults.
+_BETA_COUNT = 50
+_BETA_SEED = 20260816
+
+
 def beta_cases(count: int, seed: int):
     """The seeded Beta calibration draw, shared by the `quadrature_beta`
     selftest suite and scripts/quadrature_calibration.py.
 
-    Yields ``count`` cases ((s, r, b), integrand, exact value), with s in
-    [0.2, 3], r - s in [0.3, 5] and b in [0.25, 4], the integrand being
-    t^(s-1) (b+t)^(-r) with its exponents declared.
+    Yields ``count`` cases ((s, r, b), (f, s - 1, r - s + 1), exact value),
+    with s in [0.2, 3], r - s in [0.3, 5] and b in [0.25, 4]: f(t) =
+    t^(s-1) (b+t)^(-r) with its endpoint and decay exponents, the leading
+    arguments of `integrate_halfline`.
     """
     rng = random.Random(seed)
     for _ in range(count):
         s = rng.uniform(0.2, 3.0)
         r = s + rng.uniform(0.3, 5.0)
         b = rng.uniform(0.25, 4.0)
-        integrand = HalflineIntegrand(
-            lambda t, s=s, r=r, b=b: t ** (s - 1.0) * (b + t) ** (-r),
-            endpoint_exponent=s - 1.0,
-            decay_exponent=r - s + 1.0,
-        )
-        yield (s, r, b), integrand, beta_halfline(s, r, b)
+        f = lambda t, s=s, r=r, b=b: t ** (s - 1.0) * (b + t) ** (-r)
+        yield (s, r, b), (f, s - 1.0, r - s + 1.0), beta_halfline(s, r, b)
 
 
 def euler_integral_2f1_check(alpha: float, beta: float, gamma: float, z: float) -> bool:
@@ -249,12 +250,7 @@ def euler_integral_2f1_check(alpha: float, beta: float, gamma: float, z: float) 
             1.0 + t * z
         ) ** (-alpha)
 
-    lhs = integrate_halfline(
-        HalflineIntegrand(
-            f, endpoint_exponent=beta - 1.0, decay_exponent=alpha + 2.0 - gamma
-        ),
-        tol=1e-12,
-    ).value
+    lhs = integrate_halfline(f, beta - 1.0, alpha + 2.0 - gamma, tol=1e-12).value
     rhs = (
         math.gamma(beta)
         * math.gamma(alpha + 1.0 - gamma)

@@ -16,7 +16,6 @@ from itertools import product
 import pytest
 
 from catalankit import (
-    HalflineIntegrand,
     LegendreVariant,
     Polynomial,
     beta_halfline,
@@ -238,12 +237,9 @@ def test_10_quadrature_calibration(capsys):
             r = s + rng.uniform(0.3, 5.0)
             b = rng.uniform(0.25, 4.0)
             truth = beta_halfline(s, r, b)
-            integrand = HalflineIntegrand(
-                lambda t, s=s, r=r, b=b: t ** (s - 1.0) * (b + t) ** (-r),
-                endpoint_exponent=s - 1.0,
-                decay_exponent=r - s + 1.0,
-            )
-            got = integrate_halfline(integrand, tol=tol).value
+            got = integrate_halfline(
+                lambda t: t ** (s - 1.0) * (b + t) ** (-r), s - 1.0, r - s + 1.0, tol
+            ).value
             assert abs(got - truth) <= 10.0 * tol * abs(truth)
         euler_sets = (
             (0.5, 1.0, 0.8, 0.3),

@@ -7,7 +7,6 @@ import pytest
 
 from catalankit import quad
 from catalankit.quad import (
-    HalflineIntegrand,
     QuadratureError,
     beta_cases,
     beta_halfline,
@@ -17,11 +16,8 @@ from catalankit.quad import (
 
 
 def _beta_integrand(s, r, b):
-    return HalflineIntegrand(
-        lambda t: t ** (s - 1.0) * (b + t) ** (-r),
-        endpoint_exponent=s - 1.0,
-        decay_exponent=r - s + 1.0,
-    )
+    """The arguments f, endpoint exponent, decay exponent of t^(s-1) (b+t)^(-r)."""
+    return lambda t: t ** (s - 1.0) * (b + t) ** (-r), s - 1.0, r - s + 1.0
 
 
 @pytest.mark.parametrize(
@@ -35,7 +31,7 @@ def _beta_integrand(s, r, b):
     ],
 )
 def test_beta_cases(s, r, b):
-    res = integrate_halfline(_beta_integrand(s, r, b), tol=1e-12)
+    res = integrate_halfline(*_beta_integrand(s, r, b), tol=1e-12)
     want = beta_halfline(s, r, b)
     assert res.value == pytest.approx(want, rel=1e-11)
     assert abs(res.value - want) <= 10 * max(res.abs_err_est, 1e-16 * abs(want))
@@ -48,7 +44,7 @@ def test_randomized_beta_calibration():
         s = rng.uniform(0.2, 3.0)
         r = s + rng.uniform(0.3, 5.0)
         b = rng.uniform(0.25, 4.0)
-        res = integrate_halfline(_beta_integrand(s, r, b), tol=1e-10)
+        res = integrate_halfline(*_beta_integrand(s, r, b), tol=1e-10)
         worst = max(worst, abs(res.value - beta_halfline(s, r, b)) / beta_halfline(s, r, b))
     assert worst <= 1e-9  # 10x the requested tolerance
 
@@ -57,25 +53,24 @@ def test_shared_beta_draw_matches_an_independent_draw():
     rng = random.Random(11)
     cases = list(beta_cases(6, 11))
     assert len(cases) == 6
-    for (s, r, b), integrand, truth in cases:
+    for (s, r, b), (f, sigma, tau), truth in cases:
         want_s = rng.uniform(0.2, 3.0)
         assert (s, r, b) == (want_s, want_s + rng.uniform(0.3, 5.0), rng.uniform(0.25, 4.0))
         assert truth == beta_halfline(s, r, b)
-        assert integrand.f(1.5) == 1.5 ** (s - 1.0) * (b + 1.5) ** (-r)
-        assert (integrand.endpoint_exponent, integrand.decay_exponent) == (s - 1.0, r - s + 1.0)
+        assert f(1.5) == 1.5 ** (s - 1.0) * (b + 1.5) ** (-r)
+        assert (sigma, tau) == (s - 1.0, r - s + 1.0)
 
 
 def test_known_arctan_integral():
     # int_0^inf dt/(1+t^2) = pi/2
-    g = HalflineIntegrand(lambda t: 1.0 / (1.0 + t * t), 0.0, 2.0)
-    res = integrate_halfline(g, tol=1e-12)
+    res = integrate_halfline(lambda t: 1.0 / (1.0 + t * t), 0.0, 2.0, tol=1e-12)
     assert res.value == pytest.approx(math.pi / 2, rel=1e-12)
 
 
 def test_result_is_deterministic():
     g = _beta_integrand(0.7, 2.3, 1.5)
-    a = integrate_halfline(g, tol=1e-11)
-    b = integrate_halfline(g, tol=1e-11)
+    a = integrate_halfline(*g, tol=1e-11)
+    b = integrate_halfline(*g, tol=1e-11)
     assert a.value == b.value
     assert a.evaluations == b.evaluations
 
@@ -83,38 +78,55 @@ def test_result_is_deterministic():
 def test_tolerance_range_enforced():
     g = _beta_integrand(1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
-        integrate_halfline(g, tol=1e-16)
+        integrate_halfline(*g, tol=1e-16)
     with pytest.raises(ValueError):
-        integrate_halfline(g, tol=0.5)
+        integrate_halfline(*g, tol=0.5)
 
 
 def test_exponent_validation():
     with pytest.raises(ValueError):
-        integrate_halfline(HalflineIntegrand(lambda t: t, -1.5, 3.0), tol=1e-8)
+        integrate_halfline(lambda t: t, -1.5, 3.0, tol=1e-8)
     with pytest.raises(ValueError):
-        integrate_halfline(HalflineIntegrand(lambda t: t, 0.0, 0.9), tol=1e-8)
+        integrate_halfline(lambda t: t, 0.0, 0.9, tol=1e-8)
 
 
 def test_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(quad, "_MAX_EVALS", 45)
     g = _beta_integrand(0.5, 1.5, 1.0)
     with pytest.raises(QuadratureError, match="evaluation budget 45 exhausted"):
-        integrate_halfline(g, tol=1e-14)
+        integrate_halfline(*g, tol=1e-14)
 
 
 def test_map_leaving_the_float_range_raises():
     # tau = 1.01 clamps gamma at 24: t = (u/(1-u))^24 overflows near u = 1,
     # where the transformed integrand does not vanish
-    g = HalflineIntegrand(lambda t: (1.0 + t) ** -1.01, 0.0, 1.01)
     with pytest.raises(QuadratureError, match="leaves the float range at u = "):
-        integrate_halfline(g, 1e-10)
+        integrate_halfline(lambda t: (1.0 + t) ** -1.01, 0.0, 1.01, 1e-10)
 
 
 def test_kronrod_sums_past_the_float_range_raise_at_once():
     # these sums once went on to exhaust the budget, value=inf abs_err_est=nan
-    g = HalflineIntegrand(lambda t: 1e308 / (1.0 + t) ** 2, 0.0, 2.0)
     with pytest.raises(QuadratureError, match=r"Kronrod sums on \[.*\] leave the float range"):
-        integrate_halfline(g, 1e-10)
+        integrate_halfline(lambda t: 1e308 / (1.0 + t) ** 2, 0.0, 2.0, 1e-10)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.04, 0.03, 0.02, 0.01])
+def test_endpoint_exponent_near_minus_one(s):
+    # gamma clamps at 24; from s = 0.03 the map's first t next to u = 0 is
+    # subnormal and t^(s-1) overflows there, which is a QuadratureError
+    f = lambda t: t ** (s - 1.0) * (1.0 + t) ** -2.0
+    if s >= 0.04:
+        res = integrate_halfline(f, s - 1.0, 3.0 - s, 1e-10)
+        assert res.value == pytest.approx(beta_halfline(s, 2.0, 1.0), rel=1e-10)
+    else:
+        with pytest.raises(QuadratureError, match=f"subnormal t = .*exponent {s - 1.0!r}"):
+            integrate_halfline(f, s - 1.0, 3.0 - s, 1e-10)
+
+
+def test_overflow_at_a_normal_t_propagates():
+    # only the subnormal t next to u = 0 is the map's fault
+    with pytest.raises(OverflowError, match="math range error"):
+        integrate_halfline(lambda t: 1.0 / (1.0 + math.exp(t)), 0.0, 2.0, 1e-10)
 
 
 def test_unit_sums_round_as_fsum():

@@ -1,12 +1,11 @@
 """The record types: read-only, equal by fields, with their defaults."""
 
-import math
 from fractions import Fraction
 
 import pytest
 
 from catalankit.functional import SeriesEvaluation
-from catalankit.quad import HalflineIntegrand, QuadResult
+from catalankit.quad import QuadResult
 from catalankit.reporting import CompareReport, RepRow
 from catalankit.series import PowerSeries
 
@@ -16,8 +15,6 @@ RECORDS = [
     (CompareReport, dict(command="c2", inputs=(("n", 2),), rows=(RepRow("a", 1),), notes=()),
      "notes", ("a note",)),
     (QuadResult, dict(value=1.5, abs_err_est=1e-12, evaluations=45), "evaluations", 46),
-    (HalflineIntegrand, dict(f=math.exp, endpoint_exponent=0.5, decay_exponent=2.0),
-     "decay_exponent", 3.0),
     (SeriesEvaluation, dict(value=0.25, branch="ascending", ratio=0.5, terms=12),
      "branch", "descending"),
     (PowerSeries, dict(coeffs=(Fraction(1), Fraction(2))), "coeffs", (Fraction(1),)),
