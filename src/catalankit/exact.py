@@ -131,11 +131,13 @@ def catalan_formulas(n: int) -> dict[str, Fraction]:
     # Gamma(n + 1/2) / sqrt(pi) = (2n)! / (4^n n!) kept as an exact rational.
     gamma_half_ratio = Fraction(factorial(2 * n), 4**n * factorial(n))
     gamma_form = 4**n * gamma_half_ratio / factorial(n + 1)
-    # 2F1(-n, 1-n; 2; 1): term k reduces to C(n,k) C(n-1,k) / (k+1),
-    # terminating at k = n - 1 for n >= 1 (the k = n term carries a zero
-    # Pochhammer factor); the empty product at n = 0 is 1.
-    hyp_form = Fraction(1) if n == 0 else sum(
-        Fraction(comb(n, k) * comb(n - 1, k), k + 1) for k in range(n))
+    # 2F1(-n, 1-n; 2; 1) by its term ratio (k-n)(k+1-n) / ((k+2)(k+1)), on the
+    # integers (n+1) t_k = C(n+1, k+1) C(n-1, k) over one denominator; t_n = 0.
+    term = total = n + 1
+    for k in range(n - 1):
+        term = term * (n - k) * (n - 1 - k) // ((k + 2) * (k + 1))
+        total += term
+    hyp_form = Fraction(total, n + 1)
     return {
         "factorial_quotient": quotient,
         "central_binomial": central,
@@ -144,17 +146,13 @@ def catalan_formulas(n: int) -> dict[str, Fraction]:
     }
 
 
-@lru_cache(maxsize=None)
 def catalan(n: int) -> int:
-    """Catalan number C_n, after checking that all four formulas agree.
-
-    Raises ArithmeticError if they do not.
-    """
-    forms = catalan_formulas(n)
-    values = set(forms.values())
-    if len(values) != 1:
-        raise ArithmeticError(f"catalan formulas disagree at n={n}: {forms}")
-    return int(values.pop())
+    """Catalan number C_n = C(2n, n) / (n + 1). The formulas of `catalan_formulas`
+    and the recurrence are compared by `catalankit catalan` (any n), the selftest
+    suite catalan_formulas (n <= 60) and the acceptance tests (n <= 300)."""
+    if n < 0:
+        raise ValueError("catalan: n must be >= 0")
+    return comb(2 * n, n) // (n + 1)
 
 
 def catalan_stream(count: int) -> list[int]:

@@ -34,6 +34,16 @@ def test_catalan_command(capsys):
         assert name in out
 
 
+def test_catalan_command_reports_disagreeing_formulas(capsys, monkeypatch):
+    def disagreeing(n):
+        return {"factorial_quotient": Fraction(42), "central_binomial": Fraction(43)}
+
+    monkeypatch.setattr(catalankit.exact, "catalan_formulas", disagreeing)
+    code, out, err = run_cli(capsys, "catalan", "--n", "5")
+    assert (code, err) == (1, "")
+    assert "note: formula values disagree" in out
+
+
 def test_readme_example_is_current(capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     command = "$ catalankit c2 --a 1 --b 4 --n 2\n"

@@ -58,18 +58,9 @@ def test_catalan_formulas_are_exact_rationals():
         assert isinstance(v, Fraction)
 
 
-def test_catalan_raises_when_formulas_disagree(monkeypatch):
-    # a checked error, not an assert, so it survives python -O
-    def disagreeing(n):
-        return {"factorial_quotient": Fraction(42), "central_binomial": Fraction(43)}
-
-    catalan.cache_clear()
-    monkeypatch.setattr(catalankit.exact, "catalan_formulas", disagreeing)
-    with pytest.raises(ArithmeticError, match="disagree at n=5"):
-        catalan(5)
-
-
 def test_catalan_rejects_negative():
+    with pytest.raises(ValueError):
+        catalan(-1)
     with pytest.raises(ValueError):
         catalan_formulas(-1)
     with pytest.raises(ValueError):

@@ -226,3 +226,21 @@ def test_series_matches_double_sum_off_boundary(a, b, p, n):
     got = cf_series_detailed(a, b, p, n).value
     want = float(cf_double_sum(a, b, p, n))
     assert got == pytest.approx(want, rel=1e-10, abs=1e-15)
+
+
+# Valid inputs where a float route divides by a power that underflowed to 0,
+# although the value lies inside the float range.
+@pytest.mark.xfail(raises=ZeroDivisionError, strict=True,
+                   reason="ROADMAP item 4: the series' float a * b**n underflows to 0")
+def test_series_at_an_underflowed_b_to_the_n():
+    a, b, p, n = 10**150, Fraction(1, 10**150), Fraction(1, 6), 3
+    want = float(cf_double_sum(a, b, p, n))  # about 4.2438e123
+    assert cf_series_detailed(a, b, p, n).value == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.xfail(raises=ZeroDivisionError, strict=True,
+                   reason="ROADMAP item 10: the integrand's (b + t) ** power underflows to 0")
+def test_quadrature_at_an_underflowed_integrand_power():
+    a, b, p, n = 10**150, Fraction(1, 10**160), Fraction(1, 6), 3
+    want = 9.1430484530674078e151  # 80-digit double sum; the float one underflows too
+    assert cf_quadrature(a, b, p, n, tol=1e-10).value == pytest.approx(want, rel=1e-8)

@@ -2,8 +2,9 @@
 
 Every cross-check of the command line compares routes with each other, so
 an error they share (a shared float input, a shared underflow) passes it.
-Here each seeded point runs in-process as `--format json`, and every report
-that exits 0 is held against a formula evaluated by mpmath:
+Here each seeded point, and one point pinned off the grid, runs in-process
+as `--format json`, and every report that exits 0 is held against a formula
+evaluated by mpmath:
 
 * c2: C_n / (2 sqrt(b))^n (a + sqrt(b))^(-n-1)
   2F1(1-n, n; n+2; (sqrt(b) - a) / (2 sqrt(b))), at 60 digits;
@@ -164,6 +165,8 @@ KNOWN = {
     "functional --a 9.99e-42 --b 1.5e248 --p 1/4 --n 3": OVERFLOW,
     "functional --a 9.99e202 --b 2e75 --p 1/3 --n 1": UNDERFLOW,  # 2.1e-457
     "functional --a 2e256 --b 2e75 --p 2/3 --n 1": UNDERFLOW,  # 1.3e-538
+    "functional --a 7e68 --b 1.5e-64 --p 2/3 --n 5":
+        "ROADMAP item 4: float rows share a subnormal b^n and agree on a wrong value",
 }
 
 
@@ -175,6 +178,10 @@ def _case(argv):
 
 
 CASES = [_case(argv) for command in ("c2", "functional", "q") for argv in grid(command)]
+# Off the grid: float(b) ** 5 = 7.6e-320 is subnormal, so the float rows keep
+# 4 digits and agree on 1.4570464898476013e+137; the referee gives
+# 1.4570539684568463e+137.
+CASES.append(_case(("functional", "--a", "7e68", "--b", "1.5e-64", "--p", "2/3", "--n", "5")))
 
 
 @pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv))
