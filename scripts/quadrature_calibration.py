@@ -1,7 +1,7 @@
 """Calibrate the half-line integrator against closed-form Beta integrals.
 
 For each requested tolerance the script integrates the seeded random
-Beta cases of `catalankit.quad.beta_cases` (the draw the quadrature_beta
+Beta cases of `catalankit.checks.beta_cases` (the draw the quadrature_beta
 selftest suite uses) and compares with the exact Beta value. The table
 reports the worst and median achieved relative error and the evaluation
 count spread, which is how the 10x-tolerance calibration margin used by
@@ -15,7 +15,8 @@ Usage:
 import argparse
 import statistics
 
-from catalankit.quad import _BETA_COUNT, _BETA_SEED, beta_cases, integrate_halfline
+from catalankit.checks import _BETA_COUNT, _BETA_SEED, beta_cases
+from catalankit.quad import integrate_halfline
 
 
 def run_tolerance(tol, cases, seed):

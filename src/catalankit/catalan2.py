@@ -39,8 +39,6 @@ __all__ = [
     "c2_jacobi",
     "c2_legendre",
     "c2_gf_coefficient",
-    "c2_table_check",
-    "printed_table_value",
 ]
 
 
@@ -225,52 +223,3 @@ def c2_gf_coefficient(a, b, n: int):
     _check_c2_domain(a, b, n)
     value = gf_catalan2(a, b, n + 1).coefficient(n)
     return _exact_or_float(value, a, b)
-
-
-# Published value table for n = 0..5: numerator terms (coeff, a_power,
-# sqrt_b_power), denominator constant, denominator power of sqrt(b). The
-# n = 4 entry is printed with the base b missing from its b^(7/2) factor;
-# restored here (dimensional repair, confirmed by the pi-ratio check).
-_PRINTED_TABLE = (
-    (((1, 0, 0),), 1, 0),
-    (((1, 0, 0),), 2, 1),
-    (((1, 1, 0), (3, 0, 1)), 8, 3),
-    (((1, 2, 0), (4, 1, 1), (5, 0, 2)), 16, 5),
-    (((5, 3, 0), (25, 2, 1), (47, 1, 2), (35, 0, 3)), 128, 7),
-    (((7, 4, 0), (42, 3, 1), (102, 2, 2), (122, 1, 3), (63, 0, 4)), 256, 9),
-)
-
-
-def printed_table_value(a, b, n: int) -> float:
-    """Entry n of the published table of the first six C2 values.
-
-    Evaluated verbatim (including the overall factor pi) apart from the
-    n = 4 denominator repair noted above.
-    """
-    if not 0 <= n < len(_PRINTED_TABLE):
-        raise ValueError(f"printed table covers n = 0..5, got {n}")
-    _check_c2_domain(a, b, n)
-    terms, const, bpow = _PRINTED_TABLE[n]
-    af, sb = _to_float(a), math.sqrt(_to_float(b))
-    num = math.fsum(
-        c * _float_pow(af, i, "a^i") * _float_pow(sb, j, "b^(j/2)") for c, i, j in terms
-    )
-    den = const * _float_pow(af + sb, n + 1, "(a+sqrt(b))^(n+1)") * _float_pow(sb, bpow, "b^(j/2)")
-    return math.pi * num / den
-
-
-# The (a, b) grid of the table check; the errata command reads it too.
-# Exact, so errata names its rows 1/2 and 3/10; c2_table_check takes floats.
-_TABLE_GRID = ((1, 1), (1, 4), (Fraction(1, 2), Fraction(1, 4)), (2, 1), (Fraction(3, 10), 2))
-
-
-def c2_table_check(pairs=_TABLE_GRID) -> list[float]:
-    """|printed-table / quadrature - pi| for n = 0..5 at each (a, b), in
-    (a, b, n) order, the quadrature at c2_quadrature's default tolerance.
-
-    Every ratio is expected to equal pi: the published table is
-    internally consistent but sits a factor pi above the generating
-    function it is derived from.
-    """
-    return [abs(printed_table_value(a, b, n) / c2_quadrature(a, b, n).value - math.pi)
-            for a, b in pairs for n in range(len(_PRINTED_TABLE))]

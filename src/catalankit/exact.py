@@ -33,7 +33,6 @@ __all__ = [
     "stirling_first",
     "stirling_second",
     "geometric_polynomial",
-    "geometric_inverse_check",
     "polylog_neg",
     "exact_pow",
     "Polynomial",
@@ -553,33 +552,24 @@ def geometric_polynomial(n: int) -> Polynomial:
     return Polynomial([stirling_second(n, k) * factorial(k) for k in range(n + 1)])
 
 
-def geometric_inverse_check(n: int) -> bool:
-    """Verify x^n = (1/n!) sum_k s(n, k) w_k(x) exactly.
-
-    Follows from w_k(x) = sum_j S(k, j) j! x^j and the orthogonality of
-    the two Stirling kinds; s(n, k) carries its sign already.
-    """
-    if n < 0:
-        raise ValueError("geometric_inverse_check: n must be >= 0")
-    acc = Polynomial()
-    for k in range(n + 1):
-        acc = acc + stirling_first(n, k) * geometric_polynomial(k)
-    return acc == Polynomial([0] * n + [factorial(n)])
-
-
 @lru_cache(maxsize=None)
 def polylog_neg(k: int) -> RationalFunction:
     """Negative-order polylogarithm Li_{-k}(x) as an exact rational function.
 
-    Li_0(x) = x/(1-x) and Li_{-k}(x) = x * d/dx Li_{-k+1}(x), so each
-    Li_{-k} has denominator (1-x)^(k+1); for |x| < 1 it sums the series
-    sum_{j>=1} j^k x^j.
+    Li_{-k}(x) = x A_k(x) / (1-x)^(k+1), which sums sum_{j>=1} j^k x^j for
+    |x| < 1. A_k is the Eulerian polynomial: A_0 = 1, and for k >= 1 its
+    coefficients are A(k, j) = sum_{i<=j} (-1)^i C(k+1, i) (j+1-i)^k,
+    j < k (Graham-Knuth-Patashnik, Concrete Mathematics 6.2). A_k(1) = k!
+    is not 0, so the fraction is reduced; it is stored over the monic
+    (x-1)^(k+1), with numerator (-1)^(k+1) x A_k(x).
     """
     if k < 0:
         raise ValueError("polylog_neg: order parameter k must be >= 0")
-    if k == 0:
-        return RationalFunction(Polynomial([0, 1]), Polynomial([1, -1]))
-    return polylog_neg(k - 1).derivative() * Polynomial([0, 1])
+    eulerian = (sum((-1) ** i * comb(k + 1, i) * (j + 1 - i) ** k for i in range(j + 1))
+                for j in range(max(k, 1)))
+    num = Polynomial([0, *((-1) ** (k + 1) * a for a in eulerian)])
+    den = Polynomial([(-1) ** (k + 1 - i) * comb(k + 1, i) for i in range(k + 2)])
+    return RationalFunction._coprime(num, den)
 
 
 def exact_pow(base, exponent) -> Fraction | None:

@@ -39,7 +39,6 @@ __all__ = [
     "cf_series_detailed",
     "cf_series_as_printed",
     "cf_via_q",
-    "cf_half_reduction_check",
 ]
 
 
@@ -195,20 +194,3 @@ def cf_via_q(a, b, p, n: int):
         raise ValueError(f"cf_via_q needs b^p <= a, got y = {_to_float(y)!r}")
     value = cast(q_stirling(n, Fraction(y), Fraction(p)))
     return _exact_or_float(value / (af * _float_pow(bf, n, "b^n") * factorial(n)), a, b, p)
-
-
-# Relative tolerance of cf_half_reduction_check when a side is a float.
-_HALF_TOL = 1e-10
-
-
-def cf_half_reduction_check(a, b, n: int) -> bool:
-    """Does cf at p = 1/2 reproduce C2(n; a, b)? Compares cf_double_sum
-    with the terminating closed form of C2: equal when both sides are
-    Fractions, else within _HALF_TOL relative."""
-    from .catalan2 import c2_hyp_closed  # the one route here that needs the c2 stack
-
-    lhs = cf_double_sum(a, b, Fraction(1, 2), n)
-    rhs = c2_hyp_closed(a, b, n)
-    if _is_exact(lhs, rhs):
-        return lhs == rhs
-    return abs(_to_float(lhs) - _to_float(rhs)) <= _HALF_TOL * abs(_to_float(rhs))

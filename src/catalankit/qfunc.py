@@ -14,10 +14,6 @@ rational functions of y. Routes provided:
                        other routes (at n = 1 by exactly y^-3) and the
                        comparison is reported rather than asserted
 
-plus the identity checks used to justify the closed forms (recurrence,
-termwise derivative form, series transform, Pochhammer derivatives, and
-the z = y+1 bracket polynomials).
-
 Exact summation: the series terms grow to ~1e7 before decaying (e.g.
 y = 0.9, n = 6) while the sum stays O(1), so float accumulation loses
 about seven digits to cancellation. Every float is a dyadic rational, so
@@ -40,12 +36,9 @@ from .exact import (
     _exact_or_float,
     _is_exact,
     _to_float,
-    falling_factorial,
     geometric_polynomial,
     polylog_neg,
-    rising_factorial,
     stirling_first,
-    stirling_second,
 )
 from .hyper import pfq_series
 
@@ -58,12 +51,6 @@ __all__ = [
     "q_rational",
     "q_rational_recurrence",
     "q_recurrence_value",
-    "q_recurrence_check",
-    "q_derivative_form_check",
-    "boyadzhiev_check",
-    "pochhammer_derivative_check",
-    "zform_bracket",
-    "zform_check",
 ]
 
 # The single series' stopping rule (both branches): the first nonzero partial
@@ -268,9 +255,9 @@ def _polylog_sum(n: int, p: Fraction, x):
 def q_polylog(n: int, y, p):
     """Closed form via negative-order polylogarithms, n >= 1.
 
-    (-1)^n sum_{k=1..n} s(n,k) Li_{-k}(-y) p^k. Independent of
-    q_stirling's geometric polynomials. Returns Fraction for rational
-    y, p.
+    (-1)^n sum_{k=1..n} s(n,k) Li_{-k}(-y) p^k, each Li_{-k} from its
+    Eulerian closed form: independent of q_stirling's geometric polynomials
+    and of q_rational_recurrence's derivatives. Returns Fraction for rational y, p.
     """
     _check_n(n)
     _check_p(p)
@@ -340,145 +327,3 @@ def q_recurrence_value(n: int, y, p):
     if not y >= 0:
         raise ValueError(f"q_recurrence_value needs y >= 0, got {y!r}")
     return _exact_or_float(q_rational_recurrence(n, Fraction(p))(Fraction(y)), y, p)
-
-
-def q_recurrence_check(n: int, y, p) -> bool:
-    """Symbolically verify Q(n+1) = -p y Q'(n) + n Q(n), then spot-check.
-
-    Q(n) and Q(n+1) come from the polylogarithm route, the derivative is
-    exact, and the spot value at y is compared against q_stirling, so a
-    pass ties all three routes together at this n.
-    """
-    pf = Fraction(p)
-    qn = q_rational(n, pf)
-    lhs = q_rational(n + 1, pf)
-    rhs = qn.derivative() * (-pf) * Polynomial([0, 1]) + qn * n
-    if lhs != rhs:
-        return False
-    yf = Fraction(y)
-    return lhs(yf) == q_stirling(n + 1, yf, pf)
-
-
-def q_derivative_form_check(n: int, k_max: int, y, p) -> bool:
-    """Termwise check of the derivative representation of the series.
-
-    With w = -y, n y-derivatives of w^(pk) give (-1)^n <pk>_n w^(pk-n)
-    (<.>_n the falling factorial), so (-y)^(k+n-pk) d^n/dy^n (-y)^(pk)
-    must equal the series term coefficient (-pk)_n times (-y)^k. The
-    exponent bookkeeping (pk-n) + (k+n-pk) = k is an identity, so the
-    check compares coefficients for each k <= k_max, then confirms the
-    resulting partial sum sits within the proven tail bound of the full
-    series. Everything before the final comparison is exact.
-    """
-    _check_n(n)
-    _check_p(p)
-    if not 0 < y < 1:
-        raise ValueError(f"q_derivative_form_check needs 0 < y < 1, got {y!r}")
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    yf, pf = Fraction(y), Fraction(p)
-    partial = Fraction(0)
-    for k in range(k_max + 1):
-        t = pf * k
-        derivative_coeff = Fraction(-1) ** n * falling_factorial(t, n)
-        series_coeff = rising_factorial(-t, n)
-        if derivative_coeff != series_coeff:
-            return False
-        partial += series_coeff * (-yf) ** k
-    full = Fraction(q_series_with_terms(n, yf, pf)[0])
-    # _REL_TOL doubles as the slack for rounding full to a float
-    return abs(partial - full) <= series_tail_bound(n, yf, pf, k_max + 1) + _REL_TOL
-
-
-def boyadzhiev_check(f: Polynomial, y) -> bool:
-    """Exact check of the series transform for a polynomial f, |y| < 1:
-
-    sum_{k>=0} f(k) y^k = (1/(1-y)) sum_n (f^(n)(0)/n!) omega_n(y/(1-y)).
-
-    The left side is closed via Li_{-j}: sum_k k^j y^k equals Li_{-j}(y)
-    for j >= 1 and 1/(1-y) for j = 0. The right side differentiates f
-    symbolically. Both sides are Fractions; equality is exact.
-    """
-    yf = Fraction(y)
-    if not abs(yf) < 1:
-        raise ValueError(f"boyadzhiev_check needs |y| < 1, got {y!r}")
-    left = f.coefficient(0) / (1 - yf)
-    for j in range(1, f.degree + 1):
-        if f.coefficient(j):
-            left += f.coefficient(j) * polylog_neg(j)(yf)
-    ratio = yf / (1 - yf)
-    right = Fraction(0)
-    d, order = f, 0
-    while True:
-        right += d(Fraction(0)) / factorial(order) * geometric_polynomial(order)(ratio)
-        if d.degree <= 0:
-            break
-        d, order = d.derivative(), order + 1
-    return left == right / (1 - yf)
-
-
-def pochhammer_derivative_check(n: int, k: int) -> bool:
-    """Check d^k/dy^k (-py)_n at y = 0 against (-1)^n k! s(n,k) p^k.
-
-    (-py)_n = prod_{j<n} (j - py) is expanded as a polynomial in t = py,
-    keeping p generic; k y-derivatives contribute p^k times k
-    t-derivatives, so the p-free parts must satisfy
-    (d^k/dt^k prod)(0) = (-1)^n k! s(n,k).
-    """
-    _check_n(n)
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    prod = Polynomial([1])
-    for j in range(n):
-        prod = prod * Polynomial([j, -1])
-    d = prod
-    for _ in range(k):
-        d = d.derivative()
-    return d(Fraction(0)) == Fraction(-1) ** n * factorial(k) * stirling_first(n, k)
-
-
-def zform_bracket(n: int) -> dict[tuple[int, int], Fraction]:
-    """Bracket polynomial of the z = y+1 form, as {(z_pow, p_pow): coeff}.
-
-    Q(n, y, p) = [p (z-1)/z^(n+1)] * T_n(z, p) with
-    T_n = sum_{k=1..n} |s(n,k)| p^(k-1) z^(n-k) B_k(z) and
-    B_k(z) = sum_{m=1..k} (-1)^(1-m) S(k,m) m! z^(k-m).
-    """
-    _check_n(n)
-    if n < 1:
-        raise ValueError("zform_bracket needs n >= 1")
-    out: dict[tuple[int, int], Fraction] = {}
-    for k in range(1, n + 1):
-        size = abs(stirling_first(n, k))
-        if not size:
-            continue
-        for m in range(1, k + 1):
-            c = Fraction((-1) ** (1 - m) * stirling_second(k, m) * factorial(m) * size)
-            key = (n - m, k - 1)
-            out[key] = out.get(key, Fraction(0)) + c
-    return {key: c for key, c in out.items() if c}
-
-
-def zform_check(n: int) -> bool:
-    """Verify the bracket identity against the polylogarithm route.
-
-    Both sides are polynomials in p of degree <= n, so exact agreement
-    as rational functions of y at n+2 distinct rational p values proves
-    the identity in p as well.
-    """
-    bracket = zform_bracket(n)
-    yy = Polynomial([0, 1])
-    z_of_y = Polynomial([1, 1])
-    den = Polynomial([1])
-    for _ in range(n + 1):
-        den = den * z_of_y
-    for j in range(2, n + 4):
-        pf = Fraction(1, j)
-        coeffs = [Fraction(0)] * n
-        for (zp, pp), c in bracket.items():
-            coeffs[zp] += c * pf**pp
-        t_at_p = Polynomial(coeffs)
-        rhs = RationalFunction(yy * t_at_p(z_of_y) * pf, den)
-        if q_rational(n, pf) != rhs:
-            return False
-    return True

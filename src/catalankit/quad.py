@@ -28,26 +28,18 @@ from __future__ import annotations
 
 import heapq
 import math
-import random
 import sys
 from typing import Callable, NamedTuple
-
-from .hyper import gauss_2f1
 
 __all__ = [
     "QuadResult",
     "QuadratureError",
     "integrate_halfline",
-    "beta_halfline",
-    "beta_cases",
-    "euler_integral_2f1_check",
 ]
 
 
 # Integrand evaluations integrate_halfline may spend before it gives up.
 _MAX_EVALS = 500_000
-# Relative agreement euler_integral_2f1_check asks of its two sides.
-_EULER_TOL = 1e-9
 
 
 class QuadratureError(RuntimeError):
@@ -116,7 +108,7 @@ def integrate_halfline(
     The result satisfies |value - integral| <= max(tol * |value|, 1e-300)
     up to the reliability of the embedded error estimate, which the
     calibration selftest measures against Beta-integral ground truth
-    drawn by `beta_cases`.
+    drawn by `checks.beta_cases`.
     Deterministic: identical inputs give bit-identical results. Raises
     QuadratureError when the _MAX_EVALS evaluation budget runs out first,
     when the map's t or a Kronrod sum leaves the float range, or when f
@@ -195,66 +187,3 @@ def integrate_halfline(
         push(mid, hi)
         evals += 30
     return QuadResult(value=total, abs_err_est=toterr, evaluations=evals)
-
-
-def beta_halfline(s: float, r: float, b: float) -> float:
-    """Closed form of int_0^inf t^(s-1) (b+t)^(-r) dt for 0 < s < r, b > 0.
-
-    Equals b^(s-r) Gamma(s) Gamma(r-s) / Gamma(r); used as ground truth
-    when calibrating the adaptive integrator.
-    """
-    if not (b > 0.0 and 0.0 < s < r):
-        raise ValueError("beta_halfline: need b > 0 and 0 < s < r")
-    return b ** (s - r) * math.gamma(s) * math.gamma(r - s) / math.gamma(r)
-
-
-# The draw of the quadrature_beta suite and the calibration script's defaults.
-_BETA_COUNT = 50
-_BETA_SEED = 20260816
-
-
-def beta_cases(count: int, seed: int):
-    """The seeded Beta calibration draw, shared by the `quadrature_beta`
-    selftest suite and scripts/quadrature_calibration.py.
-
-    Yields ``count`` cases ((s, r, b), (f, s - 1, r - s + 1), exact value),
-    with s in [0.2, 3], r - s in [0.3, 5] and b in [0.25, 4]: f(t) =
-    t^(s-1) (b+t)^(-r) with its endpoint and decay exponents, the leading
-    arguments of `integrate_halfline`.
-    """
-    rng = random.Random(seed)
-    for _ in range(count):
-        s = rng.uniform(0.2, 3.0)
-        r = s + rng.uniform(0.3, 5.0)
-        b = rng.uniform(0.25, 4.0)
-        f = lambda t, s=s, r=r, b=b: t ** (s - 1.0) * (b + t) ** (-r)
-        yield (s, r, b), (f, s - 1.0, r - s + 1.0), beta_halfline(s, r, b)
-
-
-def euler_integral_2f1_check(alpha: float, beta: float, gamma: float, z: float) -> bool:
-    """Cross-check quadrature against a hypergeometric closed form.
-
-    Verifies int_0^inf s^(beta-1) (1+s)^(gamma-beta-1) (1+sz)^(-alpha) ds
-      = Gamma(beta) Gamma(alpha+1-gamma) / Gamma(alpha+beta-gamma+1)
-        * 2F1(alpha, beta; alpha+beta-gamma+1; 1-z)
-    within relative _EULER_TOL. Requires beta > 0, alpha+1-gamma > 0 and
-    0 < z < 2 so both sides are defined and the Gauss series converges.
-    """
-    if not (beta > 0.0 and alpha + 1.0 - gamma > 0.0):
-        raise ValueError("euler integral: need beta > 0 and alpha + 1 - gamma > 0")
-    if not 0.0 < z < 2.0:
-        raise ValueError("euler integral: need 0 < z < 2 for the convergent series")
-
-    def f(t: float) -> float:
-        return t ** (beta - 1.0) * (1.0 + t) ** (gamma - beta - 1.0) * (
-            1.0 + t * z
-        ) ** (-alpha)
-
-    lhs = integrate_halfline(f, beta - 1.0, alpha + 2.0 - gamma, tol=1e-12).value
-    rhs = (
-        math.gamma(beta)
-        * math.gamma(alpha + 1.0 - gamma)
-        / math.gamma(alpha + beta - gamma + 1.0)
-        * float(gauss_2f1(alpha, beta, alpha + beta - gamma + 1.0, 1.0 - z))
-    )
-    return abs(lhs - rhs) <= _EULER_TOL * max(abs(lhs), abs(rhs))

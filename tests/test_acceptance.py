@@ -18,7 +18,6 @@ import pytest
 from catalankit import (
     LegendreVariant,
     Polynomial,
-    beta_halfline,
     c2_double_factorial_sum,
     c2_gf_coefficient,
     c2_hyp_closed,
@@ -26,12 +25,10 @@ from catalankit import (
     c2_jacobi,
     c2_legendre,
     c2_quadrature,
-    c2_table_check,
     catalan,
     catalan_formulas,
     catalan_stream,
     cf_double_sum,
-    cf_half_reduction_check,
     cf_quadrature,
     cf_series_as_printed,
     cf_series_detailed,
@@ -42,11 +39,17 @@ from catalankit import (
     q_recurrence_value,
     q_series_with_terms,
     q_stirling,
+)
+from catalankit.checks import (
+    beta_halfline,
+    boyadzhiev_check,
+    c2_table_check,
+    cf_half_reduction_check,
+    euler_integral_2f1_check,
+    geometric_inverse_check,
+    pochhammer_derivative_check,
     zform_bracket,
 )
-from catalankit.exact import geometric_inverse_check
-from catalankit.qfunc import boyadzhiev_check, pochhammer_derivative_check
-from catalankit.quad import euler_integral_2f1_check
 from catalankit.reporting import max_pairwise_rel_diff
 
 from test_qfunc import PRINTED_Q_TABLE, PRINTED_ZFORM, _table_rational

@@ -23,9 +23,8 @@ from catalankit.catalan2 import (
     c2_jacobi,
     c2_legendre,
     c2_quadrature,
-    c2_table_check,
-    printed_table_value,
 )
+from catalankit.checks import c2_table_check, printed_table_value
 from catalankit.exact import catalan, double_factorial
 
 # independently derived: series oracle, confirmed by quadrature
@@ -102,6 +101,14 @@ def test_legendre_eq0b_known_offset():
     assert ratio == pytest.approx(3.0**1.5, rel=1e-12)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the SEC2 prefactor overflows to inf "
+                   "before its product with P brings it back into the float range")
+def test_legendre_sec2_past_an_overflowed_prefactor():
+    a, b, n = 9e-11, 1e-20, 15
+    want = float(c2_hyp_closed(a, b, n))  # about 5.4617e307
+    assert c2_legendre(a, b, n, LegendreVariant.SEC2) == pytest.approx(want, rel=1e-9)
+
+
 def test_legendre_domain():
     with pytest.raises(ValueError):
         c2_legendre(1, 4, 0, LegendreVariant.SEC2)
@@ -129,6 +136,15 @@ def test_printed_table_values_direct():
     assert printed_table_value(1, 4, 1) == pytest.approx(math.pi / 36, rel=1e-15)
     with pytest.raises(ValueError):
         printed_table_value(1, 4, 6)
+
+
+@pytest.mark.xfail(raises=ZeroDivisionError, strict=True,
+                   reason="ROADMAP item 10: the mass of a large b sits next to u = 1, "
+                   "where the map's u/(1-u) divides by zero")
+def test_quadrature_at_a_large_b():
+    a, b, n = 1, 3.7e35, 2
+    want = float(c2_hyp_closed(a, b, n))  # about 4.5033e-90
+    assert c2_quadrature(a, b, n).value == pytest.approx(want, rel=1e-8)
 
 
 def test_double_factorial_sum_at_a_zero():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catalankit.exact
+from catalankit.checks import geometric_inverse_check
 from catalankit.exact import (
     Polynomial,
     RationalFunction,
@@ -21,7 +22,6 @@ from catalankit.exact import (
     double_factorial,
     exact_pow,
     falling_factorial,
-    geometric_inverse_check,
     geometric_polynomial,
     polylog_neg,
     rising_factorial,
@@ -311,6 +311,15 @@ def test_polylog_neg_closed_forms():
     assert polylog_neg(1)(x) == x / (1 - x) ** 2
     assert polylog_neg(2)(x) == x * (1 + x) / (1 - x) ** 3
     assert polylog_neg(3)(x) == x * (1 + 4 * x + x * x) / (1 - x) ** 4
+
+
+def test_polylog_neg_matches_the_derivative_chain():
+    # the route it replaced: Li_0 = x/(1-x), Li_{-k} = x d/dx Li_{-k+1};
+    # the Eulerian closed form must store the same normal form at every k
+    chain = RationalFunction(Polynomial([0, 1]), Polynomial([1, -1]))
+    for k in range(41):
+        assert _fields(polylog_neg(k)) == _fields(chain), k
+        chain = chain.derivative() * Polynomial([0, 1])
 
 
 def test_exact_pow():

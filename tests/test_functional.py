@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from catalankit import qfunc
 from catalankit.catalan2 import c2_hyp_closed
+from catalankit.checks import cf_half_reduction_check
 from catalankit.exact import _power_arithmetic, _to_float, rising_factorial
 from catalankit.functional import (
     cf_double_sum,
-    cf_half_reduction_check,
     cf_quadrature,
     cf_series_as_printed,
     cf_series_detailed,
@@ -244,3 +244,12 @@ def test_quadrature_at_an_underflowed_integrand_power():
     a, b, p, n = 10**150, Fraction(1, 10**160), Fraction(1, 6), 3
     want = 9.1430484530674078e151  # 80-digit double sum; the float one underflows too
     assert cf_quadrature(a, b, p, n, tol=1e-10).value == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.xfail(raises=ZeroDivisionError, strict=True,
+                   reason="ROADMAP item 4: the float b**n of the scale underflows to 0")
+@pytest.mark.parametrize("route", [cf_double_sum, cf_via_q], ids=["double_sum", "via_q"])
+def test_double_sum_and_via_q_at_an_underflowed_b_to_the_n(route):
+    a, b, p, n = 10**150, Fraction(1, 10**160), Fraction(1, 6), 3
+    want = 9.1430484530674078e151  # 80-digit double sum
+    assert _to_float(route(a, b, p, n)) == pytest.approx(want, rel=1e-8)

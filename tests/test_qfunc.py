@@ -15,25 +15,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catalankit.checks import (
+    boyadzhiev_check,
+    pochhammer_derivative_check,
+    q_derivative_form_check,
+    q_recurrence_check,
+    zform_bracket,
+    zform_check,
+)
 from catalankit.exact import Polynomial, RationalFunction, rising_factorial
 from catalankit.functional import cf_series_detailed
 from catalankit.qfunc import (
     _pochhammer_series,
     _predicted_terms,
-    boyadzhiev_check,
-    pochhammer_derivative_check,
-    q_derivative_form_check,
     q_hyp,
     q_polylog,
     q_rational,
     q_rational_recurrence,
-    q_recurrence_check,
     q_recurrence_value,
     q_series_with_terms,
     q_stirling,
     series_tail_bound,
-    zform_bracket,
-    zform_check,
 )
 
 # published partial-fraction table: entry n -> [(denominator power j of

@@ -6,13 +6,8 @@ import random
 import pytest
 
 from catalankit import quad
-from catalankit.quad import (
-    QuadratureError,
-    beta_cases,
-    beta_halfline,
-    euler_integral_2f1_check,
-    integrate_halfline,
-)
+from catalankit.checks import beta_cases, beta_halfline, euler_integral_2f1_check
+from catalankit.quad import QuadratureError, integrate_halfline
 
 
 def _beta_integrand(s, r, b):

@@ -1,4 +1,4 @@
-"""scripts/quadrature_calibration.py, which integrates quad.beta_cases."""
+"""scripts/quadrature_calibration.py, which integrates checks.beta_cases."""
 
 import importlib.util
 from pathlib import Path

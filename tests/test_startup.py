@@ -56,3 +56,10 @@ def test_a_subcommand_loads_only_its_routes(argv, fmt, modules):
 def test_importing_the_package_loads_no_route():
     names = loaded("-c", "import sys, catalankit; print(*sys.modules)")
     assert [name for name in names if name.startswith("catalankit")] == ["catalankit"]
+
+
+def test_the_quadrature_loads_no_other_route():
+    # the series it referees (hyper) and their oracles (checks) stay out
+    names = loaded("-c", "import sys, catalankit.quad; print(*sys.modules)")
+    assert [name for name in names if name.startswith("catalankit")] == [
+        "catalankit", "catalankit.quad"]
