@@ -217,8 +217,9 @@ def c2_legendre(
 def c2_gf_coefficient(a, b, n: int):
     """Coefficient n of the Maclaurin series of 1/(a + sqrt(b - x)).
 
-    Independent of every closed form above: computed by Newton iteration
-    on the series square root and reciprocal.
+    Independent of every closed form above: read off the generating
+    function's own first-order ODE when sqrt(b) is rational, else computed
+    by Newton iteration on the series square root and reciprocal.
     """
     _check_c2_domain(a, b, n)
     value = gf_catalan2(a, b, n + 1).coefficient(n)

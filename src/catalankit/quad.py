@@ -111,8 +111,9 @@ def integrate_halfline(
     drawn by `checks.beta_cases`.
     Deterministic: identical inputs give bit-identical results. Raises
     QuadratureError when the _MAX_EVALS evaluation budget runs out first,
-    when the map's t or a Kronrod sum leaves the float range, or when f
-    overflows at a subnormal t (sigma too close to -1 for the map).
+    when the map's t or a Kronrod sum leaves the float range, when a
+    Kronrod node rounds to the map's end u = 1, or when f overflows at a
+    subnormal t (sigma too close to -1 for the map).
     """
     if not 1e-14 <= tol <= 1e-3:
         raise ValueError("integrate_halfline: tol must lie in [1e-14, 1e-3]")
@@ -125,7 +126,12 @@ def integrate_halfline(
     gamma = min(24.0, max(1.0, 4.0 / min(sigma + 1.0, tau - 1.0)))
 
     def h(u: float) -> float:
-        w = u / (1.0 - u)
+        try:
+            w = u / (1.0 - u)
+        except ZeroDivisionError:  # a Kronrod node next to u = 1 rounded onto it
+            msg = (f"a Kronrod node rounds to u = 1.0, the map's end, "
+                   f"where t = (u/(1-u))^{gamma:g} is infinite")
+            raise QuadratureError(msg) from None
         try:
             t = w**gamma
         except OverflowError:  # at a clamped gamma, a 0 here would drop tail mass

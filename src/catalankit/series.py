@@ -1,23 +1,32 @@
 """Truncated power series and the generating function of C2(n; a, b).
 
-gf_catalan2 expands 1/(a + sqrt(b - x)) by Newton iteration: the square
-root of b - x, then the reciprocal of a plus that root. Each Newton step
-doubles the number of correct coefficients. A PowerSeries holds the
+gf_catalan2 expands y(x) = 1/(a + sqrt(b - x)). A PowerSeries holds the
 result, its coefficients either all Fraction (exact mode, when sqrt(b) is
 rational) or all float.
 
-Exact mode runs on integers. A series is integer numerators over one
-positive denominator from the first Newton step to the last, through the
-square root and the reciprocal alike. A product convolves the numerators,
-multiplies the denominators, and divides all of them by their one gcd;
-without that division the integers grow past the reduced coefficients'
-size at every step. Fractions are built only for the coefficients
-returned.
+Exact mode reads the coefficients off the generating function's own ODE.
+With c = a^2 - b, (x + c) y = a - sqrt(b - x), and 2(b - x) times the
+derivative of sqrt(b - x) is -sqrt(b - x), so
 
-Float mode runs the same Newton steps on float lists, for a positive
-constant term. Its coefficients are printed to 17 digits, so the order of
-every operation is fixed: a reordered sum or a fused Newton step would
-move their last bits."""
+    2(b - x)(x + c) y' + (2b + c - x) y = a.
+
+Its coefficients follow from y_0 = 1/(a + sqrt(b)): for c != 0,
+2bc y_1 = a - (2b + c) y_0 and, for k >= 1,
+
+    2bc(k+1) y_(k+1) = (2k-1) y_(k-1) - (2(b-c)k + 2b + c) y_k;
+
+at c = 0 (a = sqrt(b)) the ODE is first order, y_k = y_(k-1) (2k-1) /
+(2b(k+1)). The loop runs on integer numerators over a running
+denominator and builds each returned Fraction once. The ODE's other
+solution, sqrt(b - x)/(x + c), has a pole at x = -c that swamps y in
+float arithmetic, so the recurrence never runs in floats.
+
+Float mode runs Newton iteration on float lists, for a positive constant
+term: the square root of b - x, then the reciprocal of a plus that root.
+Each Newton step doubles the number of correct coefficients. Its
+coefficients are printed to 17 digits, so the order of every operation
+is fixed: a reordered sum or a fused Newton step would move their last
+bits."""
 
 from __future__ import annotations
 
@@ -54,64 +63,17 @@ class PowerSeries(namedtuple("PowerSeries", "coeffs")):
         return self.coeffs[n]
 
 
-def _convolve(a, b, order: int, zero) -> list:
-    out = [zero] * order
+# Float kernel: a series is a list of floats whose constant term is
+# positive, so every product's zero is 0.0 (see the module docstring).
+
+
+def _convolve(a, b, order: int) -> list:
+    out = [0.0] * order
     for i, x in enumerate(a[:order]):
         if x:
             for j, y in enumerate(b[: order - i]):
                 out[i + j] += x * y
     return out
-
-
-# Exact kernel: a series is (nums, den), integer numerators over one
-# positive denominator.
-
-
-def _reduced(nums: list, den: int) -> tuple[list, int]:
-    g = math.gcd(den, *nums)
-    return ([x // g for x in nums], den // g) if g > 1 else (nums, den)
-
-
-def _as_series(s: tuple[list, int]) -> PowerSeries:
-    nums, den = s
-    return PowerSeries(tuple(Fraction(x, den) for x in nums))
-
-
-def _exact_mul(a: tuple[list, int], b: tuple[list, int], order: int) -> tuple[list, int]:
-    return _reduced(_convolve(a[0], b[0], order, 0), a[1] * b[1])
-
-
-def _exact_recip(c: tuple[list, int], order: int) -> tuple[list, int]:
-    c_num, c_den = c
-    if c_num[0] == 0:
-        raise ValueError("series reciprocal: constant term is zero")
-    v = ([-c_den if c_num[0] < 0 else c_den], abs(c_num[0]))
-    prec = 1
-    while prec < order:
-        prec = min(2 * prec, order)
-        # v <- v (2 - c v), truncated; doubles correct coefficients
-        cv_num, cv_den = _exact_mul((c_num[:prec], c_den), v, prec)
-        two_minus = [2 * cv_den - cv_num[0]] + [-x for x in cv_num[1:]]
-        v = _exact_mul(v, (two_minus, cv_den), prec)
-    return v
-
-
-def _exact_sqrt(c: tuple[list, int], root: Fraction, order: int) -> tuple[list, int]:
-    c_num, c_den = c
-    r = ([root.numerator], root.denominator)
-    prec = 1
-    while prec < order:
-        prec = min(2 * prec, order)
-        # r <- (r + c/r) / 2
-        q_num, q_den = _exact_mul((c_num[:prec], c_den), _exact_recip(r, prec), prec)
-        r_num, r_den = r
-        r_num = r_num + [0] * (prec - len(r_num))
-        r = _reduced([x * q_den + y * r_den for x, y in zip(r_num, q_num)], 2 * r_den * q_den)
-    return r
-
-
-# Float kernel: a series is a list of floats whose constant term is
-# positive, so every product's zero is 0.0 (see the module docstring).
 
 
 def _float_recip(c: list, order: int) -> list:
@@ -120,8 +82,8 @@ def _float_recip(c: list, order: int) -> list:
     while prec < order:
         prec = min(2 * prec, order)
         # v <- v (2 - c v); 0.0 - x, not -x, which would turn a 0.0 into -0.0
-        cv = _convolve(c[:prec], v, prec, 0.0)
-        v = _convolve(v, [2.0 - cv[0]] + [0.0 - x for x in cv[1:]], prec, 0.0)
+        cv = _convolve(c[:prec], v, prec)
+        v = _convolve(v, [2.0 - cv[0]] + [0.0 - x for x in cv[1:]], prec)
     return v
 
 
@@ -131,7 +93,7 @@ def _float_sqrt(c: list, root: float, order: int) -> list:
     while prec < order:
         prec = min(2 * prec, order)
         # r <- (r + c/r) / 2
-        q = _convolve(c[:prec], _float_recip(r, prec), prec, 0.0)
+        q = _convolve(c[:prec], _float_recip(r, prec), prec)
         r = [0.5 * (x + y) for x, y in zip(r + [0.0] * (prec - len(r)), q)]
     return r
 
@@ -148,15 +110,33 @@ def gf_catalan2(a, b, order: int) -> PowerSeries:
     if not (0 <= a < math.inf and 0 < b < math.inf):
         raise ValueError(f"gf_catalan2: need finite a >= 0 and b > 0, got a = {a}, b = {b}")
     root, num = _power_arithmetic(b, Fraction(1, 2))
-    if num is Fraction:
-        # One trip through the integer kernel: sqrt(b - x), then a joins its
-        # constant term over the common denominator, then the reciprocal.
-        b, a = Fraction(b), Fraction(a)
-        r_num, r_den = _exact_sqrt(([b.numerator, -b.denominator], b.denominator), root, order)
-        d_num = [x * a.denominator for x in r_num]
-        d_num[0] += a.numerator * r_den
-        return _as_series(_exact_recip((d_num, r_den * a.denominator), order))
-    # The root runs to order 2 at least, so a float coefficient 0 is rounded
-    # by a Newton step at every order, order 1 included; it is cut to order.
-    r = _float_sqrt([num(b), -1.0], root, max(2, order))
-    return PowerSeries(tuple(_float_recip([r[0] + num(a)] + r[1:order], order)))
+    if num is not Fraction:
+        # The root runs to order 2 at least, so a float coefficient 0 is
+        # rounded by a Newton step at every order, order 1 included; it is
+        # cut to order.
+        r = _float_sqrt([num(b), -1.0], root, max(2, order))
+        return PowerSeries(tuple(_float_recip([r[0] + num(a)] + r[1:order], order)))
+    # Over d, the lcm of the denominators of a and sqrt(b): a = A/d,
+    # sqrt(b) = R/d, b = B/L and c = C/L. y_k is N_k / E_k, where
+    # E_(k+1) = 2BC(k+1) E_k makes the ODE's step
+    # N_(k+1) = 2BC L^2 k(2k-1) N_(k-1) - L(2(B-C)k + 2B + C) N_k
+    # an integer one, with no gcd.
+    a = Fraction(a)
+    d = math.lcm(a.denominator, root.denominator)
+    A, R, L = a.numerator * (d // a.denominator), root.numerator * (d // root.denominator), d * d
+    B, C = R * R, A * A - R * R
+    nums, dens = [d], [A + R]  # y_0 = 1/(a + sqrt(b))
+    if C == 0:  # a = sqrt(b): y_k = y_(k-1) (2k-1) L / (2B(k+1))
+        for k in range(1, order):
+            nums.append(nums[-1] * (2 * k - 1) * L)
+            dens.append(dens[-1] * 2 * B * (k + 1))
+    else:
+        bc2 = 2 * B * C
+        # y_1 = 1/(2 sqrt(b) (a + sqrt(b))^2), over E_1 = 2BC E_0
+        nums.append(L * d * R * (A - R))
+        dens.append(bc2 * (A + R))
+        for k in range(1, order - 1):
+            nums.append(bc2 * L * L * k * (2 * k - 1) * nums[k - 1]
+                        - L * (2 * (B - C) * k + 2 * B + C) * nums[k])
+            dens.append(bc2 * (k + 1) * dens[k])
+    return PowerSeries(tuple(map(Fraction, nums[:order], dens[:order])))

@@ -99,6 +99,17 @@ def test_map_leaving_the_float_range_raises():
         integrate_halfline(lambda t: (1.0 + t) ** -1.01, 0.0, 1.01, 1e-10)
 
 
+def test_a_node_rounded_onto_the_maps_end_raises():
+    # the mass of (b + t)^-3 at b = 3.7e35 sits next to u = 1, where the
+    # bisection puts a Kronrod node on u = 1.0 itself; this was once a bare
+    # ZeroDivisionError from u / (1 - u)
+    def f(t):
+        return math.sqrt(t) / ((1.0 + t) * (3.7e35 + t) ** 3)
+
+    with pytest.raises(QuadratureError, match=r"node rounds to u = 1\.0, the map's end"):
+        integrate_halfline(f, 0.5, 3.5, 1e-10)
+
+
 def test_kronrod_sums_past_the_float_range_raise_at_once():
     # these sums once went on to exhaust the budget, value=inf abs_err_est=nan
     with pytest.raises(QuadratureError, match=r"Kronrod sums on \[.*\] leave the float range"):
