@@ -10,6 +10,7 @@ carry an extra factor pi relative to the generating function (whose
 integral representation includes a 1/pi prefactor). The library treats
 the generating-function convention, where C2(0; a, b) = 1/(a+sqrt(b)),
 as canonical; Normalization.PRINTED_PI reproduces the printed forms.
+c2_legendre_eq0b, whose printed prefactor has no pi, takes no `norm`.
 
 Return types: operations built from terminating sums return Fraction
 when the inputs are rational scalars (int or Fraction), sqrt(b) is
@@ -31,13 +32,13 @@ from .series import gf_catalan2
 
 __all__ = [
     "Normalization",
-    "LegendreVariant",
     "c2_double_factorial_sum",
     "c2_quadrature",
     "c2_hyp_closed",
     "c2_hyp_unbounded",
     "c2_jacobi",
     "c2_legendre",
+    "c2_legendre_eq0b",
     "c2_gf_coefficient",
 ]
 
@@ -47,13 +48,6 @@ class Normalization(enum.Enum):
 
     GENERATING_FUNCTION = "gf"
     PRINTED_PI = "paper"
-
-
-class LegendreVariant(enum.Enum):
-    """The two non-identical published Legendre-form prefactors."""
-
-    EQ0B = "eq0b"
-    SEC2 = "sec2"
 
 
 def _norm_factor(norm: Normalization):
@@ -173,22 +167,8 @@ def c2_jacobi(a, b, n: int, norm: Normalization = Normalization.GENERATING_FUNCT
     return _exact_or_float(pref * jacobi_p(n - 1, n + 1, -n - 1, aa / root), a, b, k) * k
 
 
-def c2_legendre(
-    a,
-    b,
-    n: int,
-    variant: LegendreVariant,
-    norm: Normalization = Normalization.GENERATING_FUNCTION,
-) -> float:
-    """The two published associated-Legendre forms, evaluated verbatim.
-
-    Both use P_{n-1}^{-n-1}(a/sqrt(b)) and need 0 < a < sqrt(b), n >= 1.
-      SEC2: C_n * K / (2 sqrt(b))^n * Gamma(n+2) / (b-a^2)^((n+1)/2) * P
-      EQ0B: C_n * (a/(2 sqrt(b)))^n * Gamma(n+2) / (sqrt(b)-a)^(2n+1) * P
-    The printed EQ0B prefactor carries no pi, so `norm` does not affect
-    it. The two variants disagree; the errata report measures both
-    against the quadrature oracle rather than presuming either.
-    """
+def _legendre_args(a, b, n: int):
+    """Checks both Legendre forms share; float a, b, sqrt(b) and P_{n-1}^{-n-1}(a/sqrt(b))."""
     _check_c2_domain(a, b, n)
     if n < 1:
         raise ValueError("c2_legendre needs n >= 1")
@@ -196,22 +176,38 @@ def c2_legendre(
     root = math.sqrt(bf)
     if not 0 < af < root:
         raise ValueError("c2_legendre needs 0 < a < sqrt(b)")
-    p_val = assoc_legendre_p(n - 1, -n - 1, af / root)
-    gam = factorial(n + 1)
-    if variant is LegendreVariant.SEC2:
-        pref = (
-            catalan(n)
-            * _norm_factor(norm)
-            / _float_pow(2 * root, n, "(2 sqrt(b))^n")
-            * gam
-            / _float_pow(bf - _float_pow(af, 2, "a^2"), (n + 1) / 2, "(b-a^2)^((n+1)/2)")
-        )
-    elif variant is LegendreVariant.EQ0B:
-        ratio_n = _float_pow(af / (2 * root), n, "(a/(2 sqrt(b)))^n")
-        pref = catalan(n) * ratio_n * gam / _float_pow(root - af, 2 * n + 1, "(sqrt(b)-a)^(2n+1)")
-    else:
-        raise ValueError(f"unknown Legendre variant {variant!r}")
+    return af, bf, root, assoc_legendre_p(n - 1, -n - 1, af / root)
+
+
+def c2_legendre(a, b, n: int, norm: Normalization = Normalization.GENERATING_FUNCTION) -> float:
+    """Published associated-Legendre form, 0 < a < sqrt(b) and n >= 1.
+
+    C_n * K / (2 sqrt(b))^n * Gamma(n+2) / (b-a^2)^((n+1)/2) * P_{n-1}^{-n-1}(a/sqrt(b)),
+    K = 1 (gf) or pi (printed). Equal to the terminating closed form, unlike
+    the other printed prefactor, c2_legendre_eq0b.
+    """
+    af, bf, root, p_val = _legendre_args(a, b, n)
+    pref = (
+        catalan(n)
+        * _norm_factor(norm)
+        / _float_pow(2 * root, n, "(2 sqrt(b))^n")
+        * factorial(n + 1)
+        / _float_pow(bf - _float_pow(af, 2, "a^2"), (n + 1) / 2, "(b-a^2)^((n+1)/2)")
+    )
     return float(pref * p_val)
+
+
+def c2_legendre_eq0b(a, b, n: int) -> float:
+    """The other published Legendre form, evaluated verbatim; domain as c2_legendre.
+
+    C_n * (a/(2 sqrt(b)))^n * Gamma(n+2) / (sqrt(b)-a)^(2n+1) * P_{n-1}^{-n-1}(a/sqrt(b)).
+    Its prefactor carries no pi and disagrees with c2_legendre's; the
+    errata report measures both against the terminating closed form.
+    """
+    af, _, root, p_val = _legendre_args(a, b, n)
+    ratio_n = _float_pow(af / (2 * root), n, "(a/(2 sqrt(b)))^n")
+    pref = catalan(n) * ratio_n * factorial(n + 1)
+    return float(pref / _float_pow(root - af, 2 * n + 1, "(sqrt(b)-a)^(2n+1)") * p_val)
 
 
 def c2_gf_coefficient(a, b, n: int):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import catalan2, exact, functional, hyper, qfunc
-from .catalan2 import LegendreVariant, c2_hyp_closed, c2_quadrature
+from .catalan2 import c2_hyp_closed, c2_quadrature
 from .cli import _DEFAULT_TOL, ROW_ERRORS, _SUITE_NAMES, _error, _quad_tol
 from .exact import Polynomial, RationalFunction, _check_c2_domain, _check_n, _check_p, _float_pow
 from .exact import _is_exact, _to_float, falling_factorial, geometric_polynomial, polylog_neg
@@ -374,8 +374,8 @@ def _errata_findings(tol: float) -> tuple[list[RepRow], bool]:
     for n in (2, 3):
         a, b = 1, 4
         truth = float(catalan2.c2_hyp_closed(a, b, n))
-        sec2_ratio = catalan2.c2_legendre(a, b, n, LegendreVariant.SEC2) / truth
-        eq0b_ratio = catalan2.c2_legendre(a, b, n, LegendreVariant.EQ0B) / truth
+        sec2_ratio = catalan2.c2_legendre(a, b, n) / truth
+        eq0b_ratio = catalan2.c2_legendre_eq0b(a, b, n) / truth
         expected = (
             a**n
             * (b - a * a) ** ((n + 1) / 2)

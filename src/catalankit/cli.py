@@ -169,11 +169,9 @@ C2_REPS = {
     "quadrature": lambda x: _quad(catalan2.c2_quadrature(x.a, x.b, x.n, tol=x.quad_tol)),
     "gf_coefficient": lambda x: dict(value=catalan2.c2_gf_coefficient(x.a, x.b, x.n)),
     "hyp_unbounded": lambda x: _closed(x, catalan2.c2_hyp_unbounded(x.a, x.b, x.n, x.norm)),
-    "legendre_sec2": lambda x: _closed(
-        x, catalan2.c2_legendre(x.a, x.b, x.n, catalan2.LegendreVariant.SEC2, x.norm)
-    ),
+    "legendre_sec2": lambda x: _closed(x, catalan2.c2_legendre(x.a, x.b, x.n, x.norm)),
     "legendre_eq0b": lambda x: dict(
-        value=catalan2.c2_legendre(x.a, x.b, x.n, catalan2.LegendreVariant.EQ0B, x.norm),
+        value=catalan2.c2_legendre_eq0b(x.a, x.b, x.n),
         note="printed prefactor variant, known inconsistent; see the errata command",
         compare=False,
     ),

@@ -40,7 +40,6 @@ from .exact import (
     polylog_neg,
     stirling_first,
 )
-from .hyper import pfq_series
 
 __all__ = [
     "q_series_with_terms",
@@ -287,6 +286,8 @@ def q_hyp(n: int, y, p) -> float:
         raise ValueError("q_hyp needs n >= 1")
     if not 0 < y < 1:
         raise ValueError(f"q_hyp needs 0 < y < 1, got {y!r}")
+    from .hyper import pfq_series  # here, so a functional process never loads hyper
+
     yf, pf = Fraction(y), Fraction(p)
     upper = tuple(1 - Fraction(m) / pf for m in range(n - 1, 0, -1)) + (Fraction(2),)
     lower = tuple(-Fraction(m) / pf for m in range(n - 1, 0, -1))

@@ -16,7 +16,6 @@ from itertools import product
 import pytest
 
 from catalankit import (
-    LegendreVariant,
     Polynomial,
     c2_double_factorial_sum,
     c2_gf_coefficient,
@@ -100,10 +99,10 @@ def test_02_specialization_recovers_catalan(capsys):
         # point sits exactly on that edge, so they are checked at an
         # interior point against the terminating closed form instead
         with pytest.raises(ValueError, match="sqrt"):
-            c2_legendre(a, b, 1, LegendreVariant.SEC2)
+            c2_legendre(a, b, 1)
         for n in range(1, 16):
             reference = float(c2_hyp_closed(1, 4, n))
-            got = c2_legendre(1, 4, n, LegendreVariant.SEC2)
+            got = c2_legendre(1, 4, n)
             assert abs(got - reference) <= 1e-10 * abs(reference)
 
 

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalankit.catalan2 import (
-    LegendreVariant,
     Normalization,
     c2_double_factorial_sum,
     c2_gf_coefficient,
@@ -22,6 +21,7 @@ from catalankit.catalan2 import (
     c2_hyp_unbounded,
     c2_jacobi,
     c2_legendre,
+    c2_legendre_eq0b,
     c2_quadrature,
 )
 from catalankit.checks import c2_table_check, printed_table_value
@@ -90,7 +90,7 @@ def test_unbounded_2f1_route():
 
 def test_legendre_sec2_matches_closed_form():
     for a, b, n in [(1, 4, 1), (1, 4, 2), (1, 4, 5), (1, 2, 3), (0.5, 1.0, 4)]:
-        got = c2_legendre(a, b, n, LegendreVariant.SEC2)
+        got = c2_legendre(a, b, n)
         want = float(c2_hyp_closed(a, b, n))
         assert got == pytest.approx(want, rel=1e-11)
 
@@ -98,7 +98,7 @@ def test_legendre_sec2_matches_closed_form():
 def test_legendre_eq0b_known_offset():
     # the printed eq0b prefactor is off by a^n (b-a^2)^((n+1)/2)/(sqrt(b)-a)^(2n+1)
     a, b, n = 1, 4, 2
-    ratio = c2_legendre(a, b, n, LegendreVariant.EQ0B) / float(c2_hyp_closed(a, b, n))
+    ratio = c2_legendre_eq0b(a, b, n) / float(c2_hyp_closed(a, b, n))
     assert ratio == pytest.approx(3.0**1.5, rel=1e-12)
 
 
@@ -107,16 +107,17 @@ def test_legendre_eq0b_known_offset():
 def test_legendre_sec2_past_an_overflowed_prefactor():
     a, b, n = 9e-11, 1e-20, 15
     want = float(c2_hyp_closed(a, b, n))  # about 5.4617e307
-    assert c2_legendre(a, b, n, LegendreVariant.SEC2) == pytest.approx(want, rel=1e-9)
+    assert c2_legendre(a, b, n) == pytest.approx(want, rel=1e-9)
 
 
 def test_legendre_domain():
-    with pytest.raises(ValueError):
-        c2_legendre(1, 4, 0, LegendreVariant.SEC2)
-    with pytest.raises(ValueError):
-        c2_legendre(2, 4, 1, LegendreVariant.SEC2)  # a = sqrt(b)
-    with pytest.raises(ValueError):
-        c2_legendre(3, 4, 1, LegendreVariant.SEC2)
+    for rep in (c2_legendre, c2_legendre_eq0b):
+        with pytest.raises(ValueError, match="n >= 1"):
+            rep(1, 4, 0)
+        with pytest.raises(ValueError, match="sqrt"):
+            rep(2, 4, 1)  # a = sqrt(b)
+        with pytest.raises(ValueError, match="sqrt"):
+            rep(3, 4, 1)
 
 
 def test_paper_normalization_is_pi_times_gf():
@@ -146,6 +147,17 @@ def test_quadrature_at_a_large_b():
     a, b, n = 1, 3.7e35, 2
     want = float(c2_hyp_closed(a, b, n))  # about 4.5033e-90
     assert c2_quadrature(a, b, n).value == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="ROADMAP item 10: the integrand's mass sits far from the map's "
+                   "scale 1, and the error estimate misses the value's error")
+@pytest.mark.parametrize("a, b, n", [(1e-241, 3.7e45, 5), (1e118, 2e32, 1)])
+def test_quadrature_error_estimate_covers_its_error(a, b, n):
+    # (1e-241, 3.7e45, 5): 6.58e-257 against 5.834e-252, with err 6.6e-267;
+    # (1e118, 2e32, 1): 1.6% low, with err 3.5e-263 after 494100 evaluations
+    got = c2_quadrature(a, b, n)
+    assert abs(got.value - c2_hyp_closed(a, b, n)) <= got.abs_err_est
 
 
 def test_double_factorial_sum_at_a_zero():
@@ -178,8 +190,7 @@ def test_domain_validation():
 
 @pytest.mark.parametrize("rep", [
     c2_double_factorial_sum, c2_quadrature, c2_hyp_closed, c2_hyp_unbounded, c2_jacobi,
-    lambda a, b, n: c2_legendre(a, b, n, LegendreVariant.SEC2),
-    lambda a, b, n: c2_legendre(a, b, n, LegendreVariant.EQ0B),
+    c2_legendre, c2_legendre_eq0b,
     c2_gf_coefficient, printed_table_value,
 ], ids=["double_factorial", "quadrature", "hyp_closed", "hyp_unbounded", "jacobi",
         "legendre_sec2", "legendre_eq0b", "gf_coefficient", "printed_table"])

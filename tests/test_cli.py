@@ -416,6 +416,17 @@ def test_on_request_rep_is_accepted_but_not_in_all(capsys):
     assert row["rep"] == "legendre_eq0b" and row["note"]
 
 
+def test_the_printed_eq0b_row_is_the_same_at_either_normalization(capsys):
+    # its printed prefactor carries no pi, so the printed scale changes nothing
+    argv = ("c2", "--a", "1", "--b", "4", "--n", "4", "--rep", "legendre_eq0b", "--format", "json")
+    rows = []
+    for norm in ("gf", "paper"):
+        code, out, _ = run_cli(capsys, *argv, "--normalization", norm)
+        assert code == 0
+        rows += json.loads(out)["results"]
+    assert rows[0] == rows[1] and rows[0]["value"] > 0
+
+
 @pytest.mark.parametrize("command, flags", [
     ("c2", ["a", "b", "n"]),
     ("functional", ["a", "b", "p", "n"]),

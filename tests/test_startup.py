@@ -31,9 +31,10 @@ CASES = [
     (("catalan", "--n", "0"), "text", ALWAYS),
     (("c2", "--a", "1", "--b", "4", "--n", "2"), "json", C2),
     (("q", "--n", "3", "--y", "1/2"), "csv", ALWAYS | {"hyper", "qfunc"}),
-    # the functional checks its inputs by exact's c2 rule and loads no c2 route
+    # the functional checks its inputs by exact's c2 rule and loads no c2
+    # route; only q_hyp sums a pFq, so hyper stays out too
     (("functional", "--a", "2", "--b", "1", "--p", "1/2", "--n", "2"), "text",
-     ALWAYS | {"functional", "hyper", "qfunc", "quad"}),
+     ALWAYS | {"functional", "qfunc", "quad"}),
 ]
 
 
