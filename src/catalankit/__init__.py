@@ -20,11 +20,12 @@ _MODULES = ("catalan2", "exact", "functional", "hyper", "qfunc", "quad", "series
 
 def __getattr__(name: str):
     from importlib import import_module
-    from importlib.util import find_spec
+    from importlib.machinery import PathFinder
 
     # A private name or a submodule is never a re-export. Refusing it here,
     # before anything loads, lets `from . import cli` import that one module.
-    if name.startswith("_") and name != "__all__" or find_spec(f"{__name__}.{name}"):
+    if name.startswith("_") and name != "__all__" or PathFinder.find_spec(
+            f"{__name__}.{name}", __path__):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     names = []
     for module in (import_module(f"{__name__}.{m}") for m in _MODULES):

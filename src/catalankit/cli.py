@@ -12,19 +12,23 @@ independent representations and compares them pairwise:
 
 errata and selftest live in `catalankit.checks`, which only they import.
 c2, functional and q run `cmd_compare` over `_QUANTITIES`, per command its
-flags, its representation table (`C2_REPS`, `FUNCTIONAL_REPS`, `Q_REPS`)
-and its domain check, through `evaluate`, the one row loop. A table entry
-adds a representation to `--rep`, to `--rep all` and to the grid script.
+flags, its representation table (`C2_REPS`, `FUNCTIONAL_REPS`, `Q_REPS`),
+its route module and its domain check, through `evaluate`, the one row
+loop. `cmd_compare` imports the route module (`catalan2`, `functional` or
+`qfunc`) when the command runs, so a subcommand loads only its own routes,
+and passes it to each row builder. A table entry adds a representation to
+`--rep`, to `--rep all` and to the grid script.
 
 Exit status: 0 when everything requested agreed within tolerance, 1 on a
-tolerance or consistency failure or a route failing at valid input, 2 on
-invalid input. Output is byte deterministic for identical invocations.
+tolerance or consistency failure (two unequal exact rows fail whatever the
+tolerance) or a route failing at valid input, 2 on invalid input. Output
+is byte deterministic for identical invocations.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
+import importlib
 import math
 import re
 import sys
@@ -37,31 +41,13 @@ from .reporting import CompareReport, RepRow, format_float, render_report
 __all__ = ["main", "evaluate", "C2_REPS", "FUNCTIONAL_REPS", "Q_REPS", "ON_REQUEST", "ROW_ERRORS"]
 
 
-def _lazy(name: str):
-    """The package module `name`, executed on its first attribute access
-    (the `importlib.util.LazyLoader` recipe), so a subcommand loads only the
-    routes it runs. A module already imported is returned as it is, so a
-    monkeypatch on it reaches the calls made here."""
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    spec.loader.exec_module(module)
-    setattr(sys.modules[__package__], name, module)
-    return module
-
-
-catalan2, functional, qfunc = map(_lazy, ("catalan2", "functional", "qfunc"))
-
-
 def __getattr__(name: str):
     # perfbench's tracer self-test reads this name from cli; it can go once
     # that test accepts any route cli binds by name.
     if name == "cf_series_detailed":
-        return functional.cf_series_detailed
+        from .functional import cf_series_detailed
+
+        return cf_series_detailed
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -141,20 +127,21 @@ def cmd_catalan(args) -> int:
 # -------------------------------------------------------- representations
 
 # One ordered table per quantity, representation name -> row builder, in
-# `--rep all` order. A builder maps the parsed inputs plus `norm` and
-# `quad_tol` to the RepRow fields after the name. It names its route in
-# its body, so the route is looked up in its module at call time.
+# `--rep all` order. A builder maps the command's route module and the
+# parsed inputs plus `norm` and `quad_tol` to the RepRow fields after the
+# name. It names its route in its body, so the route is looked up in its
+# module at call time.
 
 
 def _quad(result) -> dict:
     return dict(value=result.value, err=result.abs_err_est, terms=result.evaluations)
 
 
-def _closed(x, value) -> dict:
+def _closed(catalan2, x, route) -> dict:
     """A c2 closed form: reported but not compared at the printed scale."""
     printed = x.norm is catalan2.Normalization.PRINTED_PI
     note = "printed normalization (x pi)" if printed else ""
-    return dict(value=value, note=note, compare=not printed)
+    return dict(value=route(x.a, x.b, x.n, x.norm), note=note, compare=not printed)
 
 
 def _series(ev) -> dict:
@@ -163,14 +150,15 @@ def _series(ev) -> dict:
 
 
 C2_REPS = {
-    "double_factorial": lambda x: dict(value=catalan2.c2_double_factorial_sum(x.a, x.b, x.n)),
-    "hyp_closed": lambda x: _closed(x, catalan2.c2_hyp_closed(x.a, x.b, x.n, x.norm)),
-    "jacobi": lambda x: _closed(x, catalan2.c2_jacobi(x.a, x.b, x.n, x.norm)),
-    "quadrature": lambda x: _quad(catalan2.c2_quadrature(x.a, x.b, x.n, tol=x.quad_tol)),
-    "gf_coefficient": lambda x: dict(value=catalan2.c2_gf_coefficient(x.a, x.b, x.n)),
-    "hyp_unbounded": lambda x: _closed(x, catalan2.c2_hyp_unbounded(x.a, x.b, x.n, x.norm)),
-    "legendre_sec2": lambda x: _closed(x, catalan2.c2_legendre(x.a, x.b, x.n, x.norm)),
-    "legendre_eq0b": lambda x: dict(
+    "double_factorial": lambda catalan2, x: dict(
+        value=catalan2.c2_double_factorial_sum(x.a, x.b, x.n)),
+    "hyp_closed": lambda catalan2, x: _closed(catalan2, x, catalan2.c2_hyp_closed),
+    "jacobi": lambda catalan2, x: _closed(catalan2, x, catalan2.c2_jacobi),
+    "quadrature": lambda catalan2, x: _quad(catalan2.c2_quadrature(x.a, x.b, x.n, tol=x.quad_tol)),
+    "gf_coefficient": lambda catalan2, x: dict(value=catalan2.c2_gf_coefficient(x.a, x.b, x.n)),
+    "hyp_unbounded": lambda catalan2, x: _closed(catalan2, x, catalan2.c2_hyp_unbounded),
+    "legendre_sec2": lambda catalan2, x: _closed(catalan2, x, catalan2.c2_legendre),
+    "legendre_eq0b": lambda catalan2, x: dict(
         value=catalan2.c2_legendre_eq0b(x.a, x.b, x.n),
         note="printed prefactor variant, known inconsistent; see the errata command",
         compare=False,
@@ -178,24 +166,25 @@ C2_REPS = {
 }
 
 FUNCTIONAL_REPS = {
-    "double_sum": lambda x: dict(value=functional.cf_double_sum(x.a, x.b, x.p, x.n)),
-    "series": lambda x: _series(functional.cf_series_detailed(x.a, x.b, x.p, x.n)),
-    "quadrature": lambda x: _quad(functional.cf_quadrature(x.a, x.b, x.p, x.n, tol=x.quad_tol)),
-    "via_q": lambda x: dict(value=functional.cf_via_q(x.a, x.b, x.p, x.n)),
+    "double_sum": lambda functional, x: dict(value=functional.cf_double_sum(x.a, x.b, x.p, x.n)),
+    "series": lambda functional, x: _series(functional.cf_series_detailed(x.a, x.b, x.p, x.n)),
+    "quadrature": lambda functional, x: _quad(
+        functional.cf_quadrature(x.a, x.b, x.p, x.n, tol=x.quad_tol)),
+    "via_q": lambda functional, x: dict(value=functional.cf_via_q(x.a, x.b, x.p, x.n)),
 }
 
 
-def _q_series(x) -> dict:
+def _q_series(qfunc, x) -> dict:
     value, terms = qfunc.q_series_with_terms(x.n, x.y, x.p)
     return dict(value=value, terms=terms)
 
 
 Q_REPS = {
     "series": _q_series,
-    "stirling": lambda x: dict(value=qfunc.q_stirling(x.n, x.y, x.p)),
-    "polylog": lambda x: dict(value=qfunc.q_polylog(x.n, x.y, x.p)),
-    "recurrence": lambda x: dict(value=qfunc.q_recurrence_value(x.n, x.y, x.p)),
-    "hyp": lambda x: dict(
+    "stirling": lambda qfunc, x: dict(value=qfunc.q_stirling(x.n, x.y, x.p)),
+    "polylog": lambda qfunc, x: dict(value=qfunc.q_polylog(x.n, x.y, x.p)),
+    "recurrence": lambda qfunc, x: dict(value=qfunc.q_recurrence_value(x.n, x.y, x.p)),
+    "hyp": lambda qfunc, x: dict(
         value=qfunc.q_hyp(x.n, x.y, x.p),
         note="printed form, excluded from comparison; see the errata command",
         compare=False,
@@ -211,20 +200,22 @@ ON_REQUEST = frozenset({"legendre_eq0b"})
 ROW_ERRORS = (ValueError, ZeroDivisionError, RuntimeError)
 
 # Per command: its help line, its number flags in flag and echo order as
-# (name, parser, default; None: required), its representation table and
-# the library's domain check for the inputs every representation shares.
+# (name, parser, default; None: required), its representation table, the
+# package module of its routes, and the library's domain check for the
+# inputs every representation shares.
 _QUANTITIES = {
     "c2": ("two-parameter family C2(n; a, b)",
            (("a", _parse_number, None), ("b", _parse_number, None), ("n", _parse_nonneg_int, None)),
-           C2_REPS, lambda x: exact._check_c2_domain(x.a, x.b, x.n)),
+           C2_REPS, "catalan2", lambda catalan2, x: exact._check_c2_domain(x.a, x.b, x.n)),
     "functional": ("fractional-order family cf(n; a, b, p)",
                    (("a", _parse_number, None), ("b", _parse_number, None),
                     ("p", _parse_number, None), ("n", _parse_nonneg_int, None)),
-                   FUNCTIONAL_REPS, lambda x: functional._check_domain(x.a, x.b, x.p, x.n)),
+                   FUNCTIONAL_REPS, "functional",
+                   lambda functional, x: functional._check_domain(x.a, x.b, x.p, x.n)),
     "q": ("auxiliary series Q(n, y, p)",
           (("n", _parse_nonneg_int, None), ("y", _parse_number, None),
            ("p", _parse_number, Fraction(1, 2))),
-          Q_REPS, lambda x: exact._check_p(x.p)),
+          Q_REPS, "qfunc", lambda qfunc, x: exact._check_p(x.p)),
 }
 
 _PAPER_NOTE = (
@@ -233,6 +224,7 @@ _PAPER_NOTE = (
     "generating-function scale and are compared alone"
 )
 _LONE_ROW_NOTE = "only one compared row ran, so nothing was cross-checked"
+_EXACT_ROWS_NOTE = "exact rows differ"
 
 
 def _finite(fields: dict) -> dict:
@@ -243,32 +235,36 @@ def _finite(fields: dict) -> dict:
     return fields
 
 
-def evaluate(reps, names, x) -> Iterator[tuple[RepRow, Exception | None]]:
-    """(row, error) per representation in `names`, built from `x`; a route
-    raising one of ROW_ERRORS, or returning a float value that is not
-    finite (a ValueError), gives a skipped row with the reason."""
+def evaluate(routes, reps, names, x) -> Iterator[tuple[RepRow, Exception | None]]:
+    """(row, error) per representation in `names`, built from the route
+    module `routes` and `x`; a route raising one of ROW_ERRORS, or
+    returning a float value that is not finite (a ValueError), gives a
+    skipped row with the reason."""
     for rep in names:
         try:
-            yield RepRow(rep, **_finite(reps[rep](x))), None
+            yield RepRow(rep, **_finite(reps[rep](routes, x))), None
         except ROW_ERRORS as exc:
             yield RepRow(rep, note=str(exc)), exc
 
 
 def cmd_compare(args) -> int:
     """Evaluate one quantity by the representations `--rep` selects."""
-    _, flags, reps, check_domain = _QUANTITIES[args.command]
+    _, flags, reps, module, check_domain = _QUANTITIES[args.command]
+    # Imported here, so a subcommand loads only its own routes; an error
+    # raised while the module loads is not an input error, and propagates.
+    routes = importlib.import_module(f"{__package__}.{module}")
     try:
-        check_domain(args)
+        check_domain(routes, args)
     except ValueError as exc:
         return _error(exc, 2)
     echo = (*(name for name, _, _ in flags), "rep", "normalization", "tol")
     inputs = tuple((name, getattr(args, name)) for name in echo if name in args)
-    # Only c2 takes --normalization: q must not load catalan2 for its enum.
-    norm = catalan2.Normalization(args.normalization) if "normalization" in args else None
+    # Only c2 takes --normalization, and its routes module holds the enum.
+    norm = routes.Normalization(args.normalization) if "normalization" in args else None
     x = argparse.Namespace(**vars(args), norm=norm, quad_tol=_quad_tol(args.tol))
     single = args.rep != "all"
     names = (args.rep,) if single else [rep for rep in reps if rep not in ON_REQUEST]
-    results = list(evaluate(reps, names, x))
+    results = list(evaluate(routes, reps, names, x))
     errors = [error for _, error in results if error is not None]
     # When every row is skipped: 1 if a route failed, else 2; a single --rep
     # has one row, so this is its rule too. False when any row ran.
@@ -276,13 +272,14 @@ def cmd_compare(args) -> int:
         2 if isinstance(e, ValueError) else 1 for e in errors)
     if single and code:
         return _error(errors[0], code)
-    printed = norm is not None and norm is catalan2.Normalization.PRINTED_PI
+    printed = norm is not None and norm is routes.Normalization.PRINTED_PI
     notes = (_PAPER_NOTE,) if printed and not single else ()
     report = CompareReport(args.command, inputs, tuple(row for row, _ in results), notes)
-    # Under `all`, one compared row cross-checks nothing: exit 1 with a note.
+    # Under `all`, one compared row cross-checks nothing, and unequal exact
+    # rows fail whatever --tol is: each exits 1 with a note.
     lone = not single and len(report.compared_rows) == 1
-    if lone:
-        report = report._replace(notes=notes + (_LONE_ROW_NOTE,))
+    notes += (_LONE_ROW_NOTE,) * lone + (_EXACT_ROWS_NOTE,) * report.exact_rows_differ
+    report = report._replace(notes=notes)
     print(render_report(report, args.format))
     return code or (1 if lone or not report.within(args.tol) else 0)
 
@@ -332,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(run=cmd_catalan)
 
-    for command, (help_line, flags, reps, _) in _QUANTITIES.items():
+    for command, (help_line, flags, reps, _, _) in _QUANTITIES.items():
         p = sub.add_parser(command, help=help_line)
         for name, parse, default in flags:
             p.add_argument(f"--{name}", type=parse, default=default, required=default is None)

@@ -18,7 +18,6 @@ Conventions the rest of the package relies on:
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -196,44 +195,29 @@ def falling_factorial(x, n: int):
     return out
 
 
-_stirling_lock = threading.Lock()
-_s1_rows: list[tuple[int, ...]] = [(1,)]
-_s2_rows: list[tuple[int, ...]] = [(1,)]
-
-
-def _grow_stirling(rows: list[tuple[int, ...]], n: int, first_kind: bool) -> None:
-    with _stirling_lock:
-        while len(rows) <= n:
-            m = len(rows) - 1
-            prev = rows[-1]
-            nxt = [0] * (m + 2)
-            for k in range(m + 2):
-                left = prev[k - 1] if 0 <= k - 1 <= m else 0
-                here = prev[k] if k <= m else 0
-                nxt[k] = (left - m * here) if first_kind else (k * here + left)
-            rows.append(tuple(nxt))
+@lru_cache(maxsize=None)
+def _stirling_row(n: int, first_kind: bool) -> tuple[int, ...]:
+    """Row n of s(n, k) (first kind) or S(n, k), k = 0..n, built from row 0
+    by the triangle recurrence in a loop, so n has no recursion limit."""
+    row = (1,)
+    for m in range(n):
+        prev = (0, *row, 0)  # row m padded: prev[k] is row m at k - 1
+        row = tuple(prev[k] + (-m if first_kind else k) * prev[k + 1] for k in range(m + 2))
+    return row
 
 
 def stirling_first(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k); 0 out of range."""
     if n < 0:
         raise ValueError("stirling_first: n must be >= 0")
-    if k < 0 or k > n:
-        return 0
-    if n >= len(_s1_rows):
-        _grow_stirling(_s1_rows, n, first_kind=True)
-    return _s1_rows[n][k]
+    return _stirling_row(n, True)[k] if 0 <= k <= n else 0
 
 
 def stirling_second(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k); 0 out of range."""
     if n < 0:
         raise ValueError("stirling_second: n must be >= 0")
-    if k < 0 or k > n:
-        return 0
-    if n >= len(_s2_rows):
-        _grow_stirling(_s2_rows, n, first_kind=False)
-    return _s2_rows[n][k]
+    return _stirling_row(n, False)[k] if 0 <= k <= n else 0
 
 
 class Polynomial:

@@ -22,6 +22,7 @@ __all__ = [
     "RepRow",
     "CompareReport",
     "max_pairwise_rel_diff",
+    "exact_values_differ",
     "format_float",
     "format_scalar",
     "render_report",
@@ -99,6 +100,12 @@ def max_pairwise_rel_diff(values) -> float | None:
     return worst
 
 
+def exact_values_differ(values) -> bool:
+    """True when two of the exact values are unequal: an exact route's
+    error is a bug, so no tolerance forgives it."""
+    return len({v for v in values if _is_exact(v)}) > 1
+
+
 class CompareReport(NamedTuple):
     command: str
     inputs: tuple[tuple[str, object], ...]  # echoed in the given order
@@ -113,9 +120,13 @@ class CompareReport(NamedTuple):
     def max_pairwise_rel_diff(self) -> float | None:
         return max_pairwise_rel_diff([r.value for r in self.compared_rows])
 
+    @property
+    def exact_rows_differ(self) -> bool:
+        return exact_values_differ(r.value for r in self.compared_rows)
+
     def within(self, tol: float) -> bool:
         diff = self.max_pairwise_rel_diff
-        return diff is None or diff <= tol
+        return not self.exact_rows_differ and (diff is None or diff <= tol)
 
 
 # The columns of a report row: the CSV order; JSON sorts them, and the

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import catalankit.catalan2
 import catalankit.checks
 import catalankit.cli
 import catalankit.exact
@@ -247,6 +248,19 @@ def test_one_compared_row_is_not_a_cross_check(capsys):
     code, out, err = run_cli(capsys, *argv, "--rep", "gf_coefficient")
     assert (code, err) == (0, "")
     assert "note:" not in out
+
+
+@pytest.mark.parametrize("tol", ["1e-8", "1"])
+def test_unequal_exact_rows_fail_whatever_the_tolerance(capsys, monkeypatch, tol):
+    # gf_coefficient off by 1e-12 beside three equal exact rows: as floats
+    # the rows agree within --tol, but an exact route's error is a bug
+    real = catalankit.catalan2.c2_gf_coefficient
+    monkeypatch.setattr(catalankit.catalan2, "c2_gf_coefficient",
+                        lambda a, b, n: real(a, b, n) * (1 + Fraction(1, 10**12)))
+    code, out, err = run_cli(capsys, "c2", "--a", "1", "--b", "4", "--n", "5", "--tol", tol)
+    assert (code, err) == (1, "")
+    assert "2483000000002483/95551488000000000000" in out
+    assert out.endswith("\nnote: exact rows differ\n")
 
 
 def test_non_finite_values_are_skipped_rows(capsys):

@@ -85,9 +85,9 @@ class Row(NamedTuple):
     series: tuple  # (upper, lower, z) of each hypergeometric sum
 
 
-def run_row(build, x) -> Row | None:
-    """The row `build` makes from `x`, as the profiler saw it; None when
-    the row is skipped."""
+def run_row(build, routes, x) -> Row | None:
+    """The row `build` makes from the route module `routes` and `x`, as the
+    profiler saw it; None when the row is skipped."""
     calls, sums = set(), []
 
     def profile(frame, event, arg):
@@ -102,7 +102,7 @@ def run_row(build, x) -> Row | None:
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        fields = build(x)
+        fields = build(routes, x)
     except cli.ROW_ERRORS:
         return None
     finally:
@@ -141,19 +141,20 @@ def q_points(rng):
 
 
 POINTS = {"c2": c2_points, "functional": functional_points, "q": q_points}
+ROUTE_MODULES = {"c2": catalan2, "functional": functional, "q": qfunc}
 
 
 @functools.cache
 def audit(command: str) -> tuple[tuple[str, dict[str, Row]], ...]:
     """(argv, rep -> row run) at each seeded point, built as `cmd_compare`
     builds them."""
-    reps = cli._QUANTITIES[command][2]
+    reps, routes = cli._QUANTITIES[command][2], ROUTE_MODULES[command]
     points = []
     for argv in POINTS[command](random.Random(12)):
         args = cli._build_parser().parse_args(argv)
         norm = catalan2.Normalization(args.normalization) if "normalization" in args else None
         x = argparse.Namespace(**vars(args), norm=norm, quad_tol=cli._quad_tol(args.tol))
-        rows = {rep: run_row(reps[rep], x) for rep in reps if rep not in cli.ON_REQUEST}
+        rows = {rep: run_row(reps[rep], routes, x) for rep in reps if rep not in cli.ON_REQUEST}
         points.append((" ".join(argv), {rep: row for rep, row in rows.items() if row}))
     return tuple(points)
 
@@ -172,6 +173,7 @@ def shared_series(r: Row, s: Row) -> bool:
 @pytest.mark.parametrize("command", POINTS)
 def test_the_audit_covers_every_row(command):
     reps = cli._QUANTITIES[command][2]
+    assert ROUTE_MODULES[command].__name__ == f"catalankit.{cli._QUANTITIES[command][3]}"
     ran = set()
     for argv, rows in audit(command):
         assert sum(row.compared for row in rows.values()) >= 2, argv

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from catalankit.reporting import CompareReport, RepRow, render_report
+from catalankit.reporting import CompareReport, RepRow, exact_values_differ, render_report
 
 ROWS = (
     RepRow("exact_row", Fraction(-7, 3)),
@@ -78,3 +78,14 @@ skipped_row,,,false,,"outside, ""float"" range",true""",
 def test_render_report_bytes(name, fmt):
     assert render_report(REPORTS[name], fmt) == EXPECTED[name, fmt]
 
+
+
+def test_unequal_exact_rows_fail_at_any_tolerance():
+    third = Fraction(1, 3)
+    rows = (RepRow("x", third), RepRow("y", third + Fraction(1, 10**20)), RepRow("z", 1 / 3))
+    report = CompareReport("demo", (), rows)
+    assert report.exact_rows_differ and not report.within(1.0)
+    # float and mixed pairs keep the tolerance rule; a reported-only row is not compared
+    agreed = report._replace(rows=(rows[0], rows[2], rows[1]._replace(compare=False)))
+    assert not agreed.exact_rows_differ and agreed.within(1e-8)
+    assert exact_values_differ([2, Fraction(2)]) is False

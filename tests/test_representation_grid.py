@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from catalankit import catalan2
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "representation_grid.py"
 
 
@@ -69,6 +71,20 @@ def test_a_failing_route_drops_out_as_in_the_cli(grid, capsys):
         "double_factorial", "double_factorial", "gf_coefficient"]
     assert all(line.endswith("ok") for line in lines[2:-2])
     assert lines[-1] == "all pairs within threshold"
+
+
+def test_unequal_exact_values_fail_whatever_the_threshold(grid, monkeypatch, capsys):
+    # gf_coefficient off by 1e-12: its pairs with the exact rows fail at
+    # threshold 1, as the command line fails them; float pairs pass
+    real = catalan2.c2_gf_coefficient
+    monkeypatch.setattr(catalan2, "c2_gf_coefficient",
+                        lambda a, b, n: real(a, b, n) * (1 + Fraction(1, 10**12)))
+    assert grid.main(["--a", "1", "--b", "4", "--nmax", "5", "--threshold", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failing = [line.split("  ")[0] for line in lines if line.endswith("FAIL")]
+    assert failing == ["double_factorial vs gf_coefficient", "gf_coefficient vs hyp_closed",
+                       "gf_coefficient vs jacobi"]
+    assert lines[-1] == "3 pair(s) above threshold or with unequal exact values"
 
 
 def test_quadrature_tolerance_follows_the_threshold(grid, monkeypatch, capsys):

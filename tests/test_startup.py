@@ -10,18 +10,42 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs the command line in the child and prints its exit code and the
-# modules the run executed. A route module that `cli` registered lazily and
-# nothing touched is still a `LazyLoader` placeholder, not a plain module,
-# so it is left out; so is whatever the interpreter had loaded before.
+# modules the run imported, leaving out whatever the interpreter had loaded
+# before.
 PROBE = """
-import io, sys, types
+import io, sys
 before = set(sys.modules)
 sys.stdout = io.StringIO()
 from catalankit.cli import main
 code = main(sys.argv[1:])
 sys.stdout = sys.__stdout__
-print(code, *(name for name, m in sys.modules.items()
-              if name not in before and type(m) is types.ModuleType))
+print(code, *(name for name in sys.modules if name not in before))
+"""
+
+# Runs the command line in the child with the module named first made to
+# raise ValueError("simulated") while it loads, and prints how main ended.
+FAILING_LOAD = """
+import importlib.machinery, io, sys
+
+class FailingLoad:
+    def find_spec(self, name, path=None, target=None):
+        return importlib.machinery.ModuleSpec(name, self) if name == sys.argv[1] else None
+
+    def create_module(self, spec):
+        return None
+
+    def exec_module(self, module):
+        raise ValueError("simulated")
+
+sys.meta_path.insert(0, FailingLoad())
+from catalankit.cli import main
+sys.stdout = io.StringIO()
+try:
+    outcome = f"returned {main(sys.argv[2:])}"
+except Exception as exc:
+    outcome = f"{type(exc).__name__}: {exc}"
+sys.stdout = sys.__stdout__
+print(outcome)
 """
 
 ALWAYS = {"cli", "exact", "reporting"}
@@ -52,6 +76,16 @@ def test_a_subcommand_loads_only_its_routes(argv, fmt, modules):
     assert ours == modules
     assert not {"dataclasses", "inspect"} & set(names)
     assert not ({"json", "csv"} - {fmt}) & set(names)
+
+
+# A load error is not an input error: main raises it where the command
+# imports its route module, and no row is skipped for it.
+@pytest.mark.parametrize("module, argv", [
+    ("catalankit.quad", ("functional", "--a", "2", "--b", "1", "--p", "1/2", "--n", "2")),
+    ("catalankit.qfunc", ("q", "--n", "3", "--y", "1/2")),
+], ids=["functional", "q"])
+def test_a_route_module_that_fails_to_load_raises_its_error(module, argv):
+    assert loaded("-c", FAILING_LOAD, module, *argv) == ["ValueError:", "simulated"]
 
 
 def test_importing_the_package_loads_no_route():
